@@ -1,9 +1,12 @@
-// Rho-phase microbench (ISSUE 7): points/sec for the three Rho hot loops --
-// density contraction (Sumup-style basis contraction feeding the
-// projection), multipole projection (producer), and partitioned-potential
-// interpolation (consumer) -- each measured through the batched kernels and
-// through the legacy per-point call chain, with screening on and off.
-// Writes BENCH_rho.json with the rates and speedups.
+// Rho-phase microbench: points/sec for the three Rho hot loops -- density
+// contraction (Sumup-style basis contraction feeding the projection),
+// multipole projection (producer), and partitioned-potential interpolation
+// (consumer) -- each measured through the batched kernels and through the
+// legacy per-point call chain, with screening on and off. The projection is
+// timed twice: with the solver's Becke-weight cache warm (every SCF/CPSCF
+// projection after the first) and cold (a fresh solver per call, so the
+// cache build is included). Writes BENCH_rho.json with the rates, speedups
+// and the host's hardware thread count.
 //
 // Correctness rails built into the run: at tau = 0 the batched paths must
 // agree with the per-point paths bit for bit (max |diff| printed and
@@ -37,6 +40,7 @@ struct Rates {
   double contract_batched = 0, contract_batched_unscreened = 0,
          contract_per_point = 0;
   double project_batched = 0, project_per_point = 0;  // density evals / s
+  double project_cold_cache = 0;  // fresh solver per call, cache build included
   double potential_batched = 0, potential_per_point = 0;
   double batched_vs_per_point_max_diff = 0;  // at tau = 0, must be 0
   std::size_t grid_points = 0, basis_size = 0, density_evals = 0;
@@ -140,8 +144,14 @@ Rates run(bool smoke) {
           .size();
   out.density_evals =
       basis.structure().size() * opt.poisson.radial_points * n_ang;
+  (void)hartree.project(batch_fn);  // the Becke-weight cache is warm from here
   out.project_batched = rate(static_cast<double>(out.density_evals), min_s,
                              [&] { (void)hartree.project(batch_fn); });
+  out.project_cold_cache =
+      rate(static_cast<double>(out.density_evals), min_s, [&] {
+        const poisson::HartreeSolver fresh(basis.structure(), opt.poisson);
+        (void)fresh.project(batch_fn);
+      });
   out.project_per_point = rate(static_cast<double>(out.density_evals), min_s,
                                [&] { (void)hartree.project(point_fn); });
 
@@ -170,11 +180,12 @@ void print_table(const Rates& r) {
   row("density contraction (screened)", r.contract_batched, r.contract_per_point);
   row("density contraction (unscreened)", r.contract_batched_unscreened,
       r.contract_per_point);
-  row("projection (density evals)", r.project_batched, r.project_per_point);
+  row("projection, warm weight cache", r.project_batched, r.project_per_point);
+  row("projection, cold weight cache", r.project_cold_cache, r.project_per_point);
   row("potential interpolation", r.potential_batched, r.potential_per_point);
   std::printf("\nWorkload: water, %zu grid points, %zu basis functions, "
-              "single thread.\n",
-              r.grid_points, r.basis_size);
+              "single thread (host has %zu hardware threads).\n",
+              r.grid_points, r.basis_size, exec::hardware_threads());
   t.print("Rho-phase kernels: batched vs per-point");
   std::printf("batched vs per-point max |dn| (tau = 0): %g%s\n",
               r.batched_vs_per_point_max_diff,
@@ -196,11 +207,14 @@ void write_json(const Rates& r, const char* filename) {
       "  \"grid_points\": %zu,\n"
       "  \"basis_size\": %zu,\n"
       "  \"density_evals_per_projection\": %zu,\n"
+      "  \"threads\": 1,\n"
+      "  \"hardware_threads\": %zu,\n"
       "  \"points_per_second\": {\n"
       "    \"contract_batched_screened\": %.1f,\n"
       "    \"contract_batched_unscreened\": %.1f,\n"
       "    \"contract_per_point\": %.1f,\n"
       "    \"project_batched\": %.1f,\n"
+      "    \"project_cold_cache\": %.1f,\n"
       "    \"project_per_point\": %.1f,\n"
       "    \"potential_batched\": %.1f,\n"
       "    \"potential_per_point\": %.1f\n"
@@ -212,9 +226,10 @@ void write_json(const Rates& r, const char* filename) {
       "  },\n"
       "  \"batched_vs_per_point_max_diff\": %g\n"
       "}\n",
-      r.grid_points, r.basis_size, r.density_evals, r.contract_batched,
-      r.contract_batched_unscreened, r.contract_per_point, r.project_batched,
-      r.project_per_point, r.potential_batched, r.potential_per_point,
+      r.grid_points, r.basis_size, r.density_evals, exec::hardware_threads(),
+      r.contract_batched, r.contract_batched_unscreened, r.contract_per_point,
+      r.project_batched, r.project_cold_cache, r.project_per_point,
+      r.potential_batched, r.potential_per_point,
       r.contract_per_point > 0 ? r.contract_batched / r.contract_per_point : 0,
       r.project_per_point > 0 ? r.project_batched / r.project_per_point : 0,
       r.potential_per_point > 0 ? r.potential_batched / r.potential_per_point

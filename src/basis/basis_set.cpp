@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
@@ -260,19 +261,96 @@ double BasisSet::free_atom_density(int z, double r) const {
   return n;
 }
 
+namespace {
+
+/// Points per lane block of the contraction kernel: four independent 2-wide
+/// accumulators. At the portable -O2 x86-64 baseline (SSE2) explicit 2-wide
+/// vectors are what the compiler keeps in registers; wider generic vectors
+/// spill (docs/performance.md, "Vectorization evidence").
+constexpr std::size_t kLanes = 8;
+/// Points per dense union chunk: bounds the scratch (union x chunk doubles)
+/// for callers that hand very large blocks. A projection ring fits in one.
+constexpr std::size_t kChunkPoints = 128;
+
+using Lane2 = double __attribute__((vector_size(16)));
+
+inline Lane2 load2(const double* p) {
+  Lane2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+}  // namespace
+
 void contract_density(const linalg::Matrix& p, const BatchEval& ev, double* out) {
   const std::size_t nb = p.cols();
-  for (std::size_t k = 0; k < ev.points(); ++k) {
-    const std::uint32_t* idx = ev.indices.data() + ev.offsets[k];
-    const double* val = ev.values.data() + ev.offsets[k];
-    const std::size_t ne = ev.offsets[k + 1] - ev.offsets[k];
-    double n = 0.0;
-    for (std::size_t a = 0; a < ne; ++a) {
-      const double* prow = p.data() + static_cast<std::size_t>(idx[a]) * nb;
-      const double va = val[a];
-      for (std::size_t b = 0; b < ne; ++b) n += prow[idx[b]] * va * val[b];
+  // slot[mu] = 1 + local index of mu in the chunk's union, 0 when absent;
+  // all zero between chunks.
+  thread_local std::vector<std::uint32_t> slot;
+  thread_local std::vector<std::uint32_t> ids;
+  thread_local std::vector<double> v, p_loc;
+  if (slot.size() < nb) slot.resize(nb, 0);
+
+  for (std::size_t c0 = 0; c0 < ev.points(); c0 += kChunkPoints) {
+    const std::size_t nc = std::min(kChunkPoints, ev.points() - c0);
+    const std::uint32_t e0 = ev.offsets[c0], e1 = ev.offsets[c0 + nc];
+
+    // Ascending union of the chunk's basis ids: mark, then scan the marks
+    // in id order (O(entries + nb), no sort).
+    for (std::uint32_t e = e0; e < e1; ++e) slot[ev.indices[e]] = 1;
+    ids.clear();
+    for (std::uint32_t mu = 0; mu < nb; ++mu)
+      if (slot[mu] != 0) {
+        ids.push_back(mu);
+        slot[mu] = static_cast<std::uint32_t>(ids.size());
+      }
+    const std::size_t nl = ids.size();
+    const std::size_t nk = (nc + kLanes - 1) / kLanes * kLanes;
+
+    // Dense, zero-padded V[a][k] = chi_{ids[a]}(point c0 + k), and the
+    // matching P block.
+    v.assign(nl * nk, 0.0);
+    for (std::size_t k = 0; k < nc; ++k)
+      for (std::uint32_t e = ev.offsets[c0 + k]; e < ev.offsets[c0 + k + 1]; ++e)
+        v[(slot[ev.indices[e]] - 1) * nk + k] = ev.values[e];
+    for (const std::uint32_t mu : ids) slot[mu] = 0;
+    p_loc.resize(nl * nl);
+    for (std::size_t a = 0; a < nl; ++a) {
+      const double* prow = p.data() + static_cast<std::size_t>(ids[a]) * nb;
+      for (std::size_t b = 0; b < nl; ++b) p_loc[a * nl + b] = prow[ids[b]];
     }
-    out[k] = n;
+
+    // Per point, acc += (P_ab * chi_a) * chi_b over ascending (a, b) -- the
+    // per-point double loop's exact sequence of rounded operations, plus
+    // terms where chi_a or chi_b is a padded zero. Those are exactly +-0 for
+    // finite P, x + (+-0) == x, and an accumulator starting at +0 never
+    // becomes -0 under round-to-nearest, so they change no bit. Each point
+    // owns an accumulator lane, so the add chains of kLanes points run side
+    // by side.
+    for (std::size_t kb = 0; kb < nc; kb += kLanes) {
+      Lane2 acc0 = {0.0, 0.0}, acc1 = acc0, acc2 = acc0, acc3 = acc0;
+      for (std::size_t a = 0; a < nl; ++a) {
+        const double* va = v.data() + a * nk + kb;
+        const Lane2 a0 = load2(va), a1 = load2(va + 2), a2 = load2(va + 4),
+                    a3 = load2(va + 6);
+        const double* prow = p_loc.data() + a * nl;
+        for (std::size_t b = 0; b < nl; ++b) {
+          const Lane2 pab = {prow[b], prow[b]};
+          const double* vb = v.data() + b * nk + kb;
+          acc0 += (pab * a0) * load2(vb);
+          acc1 += (pab * a1) * load2(vb + 2);
+          acc2 += (pab * a2) * load2(vb + 4);
+          acc3 += (pab * a3) * load2(vb + 6);
+        }
+      }
+      double lanes[kLanes];
+      std::memcpy(lanes, &acc0, sizeof acc0);
+      std::memcpy(lanes + 2, &acc1, sizeof acc1);
+      std::memcpy(lanes + 4, &acc2, sizeof acc2);
+      std::memcpy(lanes + 6, &acc3, sizeof acc3);
+      const std::size_t m = std::min(kLanes, nc - kb);
+      for (std::size_t j = 0; j < m; ++j) out[c0 + kb + j] = lanes[j];
+    }
   }
 }
 

@@ -152,9 +152,14 @@ private:
 
 /// Density contraction n(p) = sum_{mu,nu} P_mu_nu chi_mu(p) chi_nu(p) for
 /// every point of a batched evaluation (Eq. 8 -- serves both n and the
-/// response n^(1)). The per-point accumulation runs over the point's entry
-/// pairs in ascending order with the exact multiply order of the per-point
-/// path, so results are bit-identical to it.
+/// response n^(1)). Ring-dense kernel: the block's ascending union of basis
+/// ids indexes a zero-padded dense V[a][k] and a gathered P block, and
+/// points run in lanes of 8, each with its own accumulator. Per point the
+/// sum is acc += (P_ab * chi_a) * chi_b over ascending (a, b) -- the plain
+/// double loop over the point's entries (which evaluate_batch emits in
+/// ascending id order) -- plus padded terms that are exactly +-0, so for
+/// finite P the result is bit-identical to that loop
+/// (docs/performance.md, "Ring-dense density contraction").
 void contract_density(const linalg::Matrix& p, const BatchEval& ev, double* out);
 
 }  // namespace aeqp::basis

@@ -48,7 +48,10 @@ double BeckePartition::weight(std::size_t center, const Vec3& point) const {
   AEQP_CHECK(center < n, "BeckePartition: atom index out of range");
   if (n == 1) return 1.0;
 
-  std::vector<double> dist(n);
+  // Thread-local scratch: weight() sits on the grid-build and projection
+  // hot paths, which call it from every pool worker.
+  thread_local std::vector<double> dist;
+  dist.resize(n);
   for (std::size_t a = 0; a < n; ++a) dist[a] = distance(positions_[a], point);
 
   const double pc = cell(center, point, dist);

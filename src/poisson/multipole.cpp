@@ -96,27 +96,58 @@ MultipoleDensity HartreeSolver::project_rows(const BatchDensityFn& density,
   // so batch-level screening decisions inside the callback are identical on
   // every thread and rank. The callback must be thread-safe (pure
   // evaluation; every caller in the codebase captures only const state).
+  // The ring's Becke weights come from the geometry-only cache, which the
+  // first call builds.
+  const std::vector<double>& becke = becke_weights();
+  const std::size_t nk = ang_dirs_.size();
   exec::parallel_for(row_begin, row_end, [&](std::size_t task) {
     const std::size_t a = task / nr;
     const std::size_t i = task % nr;
-    const Vec3 center = structure_.atom(a).pos;
-    const double r = mesh_.r(i);
     auto& per_lm = rho.samples[a];
     thread_local std::vector<Vec3> ring;
     thread_local std::vector<double> dens;
-    const std::size_t nk = ang_dirs_.size();
     ring.resize(nk);
     dens.resize(nk);
-    for (std::size_t k = 0; k < nk; ++k) ring[k] = center + r * ang_dirs_[k];
+    fill_ring(task, ring.data());
     density(ring.data(), nk, dens.data());
+    // Same product order as (dens * weight(a, ring[k])) * w_ang: folding
+    // the two weights into one factor would change the rounding.
+    const double* w = becke.data() + task * nk;
     for (std::size_t k = 0; k < nk; ++k) {
-      const double val = dens[k] * partition_.weight(a, ring[k]) * ang_weights_[k];
+      const double val = dens[k] * w[k] * ang_weights_[k];
       if (val == 0.0) continue;
       const std::vector<double>& ylm = ang_ylm_[k];
       for (std::size_t lm = 0; lm < nlm; ++lm) per_lm[lm][i] += val * ylm[lm];
     }
   });
   return rho;
+}
+
+void HartreeSolver::fill_ring(std::size_t row, Vec3* ring) const {
+  const Vec3 center = structure_.atom(row / mesh_.size()).pos;
+  const double r = mesh_.r(row % mesh_.size());
+  for (std::size_t k = 0; k < ang_dirs_.size(); ++k)
+    ring[k] = center + r * ang_dirs_[k];
+}
+
+const std::vector<double>& HartreeSolver::becke_weights() const {
+  std::call_once(becke_once_, [&] {
+    AEQP_TRACE_SCOPE("poisson/becke_weights");
+    const std::size_t nr = mesh_.size();
+    const std::size_t nk = ang_dirs_.size();
+    becke_weights_.resize(projection_row_count() * nk);
+    exec::parallel_for(0, projection_row_count(), [&](std::size_t row) {
+      thread_local std::vector<Vec3> ring;
+      ring.resize(nk);
+      fill_ring(row, ring.data());
+      const std::size_t a = row / nr;
+      double* w = becke_weights_.data() + row * nk;
+      for (std::size_t k = 0; k < nk; ++k) w[k] = partition_.weight(a, ring[k]);
+    });
+    becke_mem_.add(static_cast<std::int64_t>(becke_weights_.capacity() *
+                                             sizeof(double)));
+  });
+  return becke_weights_;
 }
 
 void HartreeSolver::finalize_splines(MultipoleDensity& rho) const {

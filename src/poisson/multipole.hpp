@@ -16,6 +16,7 @@
 ///      points (the consumer kernel).
 
 #include <functional>
+#include <mutex>
 #include <vector>
 
 #include "basis/spline.hpp"
@@ -23,6 +24,7 @@
 #include "grid/partition.hpp"
 #include "grid/radial_grid.hpp"
 #include "grid/structure.hpp"
+#include "obs/memaudit.hpp"
 
 namespace aeqp::poisson {
 
@@ -79,6 +81,11 @@ public:
   /// batched overload hands each (atom, radial shell)'s full angular ring to
   /// the callback in one call; the per-point overload wraps the density in a
   /// ring-at-a-time adapter, so both produce bit-identical projections.
+  /// The Becke weight of every ring point is geometry-only: the first
+  /// projection on a solver caches it (memaudit gauge
+  /// poisson/becke_weights, N x radial shells x angular points doubles) and
+  /// every later one reads it, with the same bits and product order as
+  /// calling BeckePartition::weight per point. Safe to call concurrently.
   [[nodiscard]] MultipoleDensity project(const BatchDensityFn& density) const;
   [[nodiscard]] MultipoleDensity project(const DensityFn& density) const;
 
@@ -140,6 +147,20 @@ private:
   std::vector<Vec3> ang_dirs_;
   std::vector<double> ang_weights_;
   std::vector<std::vector<double>> ang_ylm_;  // [k][lm]
+
+  /// Ring points of projection row `row` (atom-major x radial shell) into
+  /// ring[0..n_ang): the one place the projection geometry is computed, so
+  /// the density callback and the weight cache see the same points.
+  void fill_ring(std::size_t row, Vec3* ring) const;
+
+  /// BeckePartition::weight(a, ring point) for every (row, angular point),
+  /// row-major. Geometry-only, so built once -- lazily, on the first
+  /// projection, in parallel over rows -- and shared by every later SCF and
+  /// CPSCF projection and by all simmpi rank threads using this solver.
+  [[nodiscard]] const std::vector<double>& becke_weights() const;
+  mutable std::once_flag becke_once_;
+  mutable std::vector<double> becke_weights_;
+  mutable obs::MemScope becke_mem_{"poisson/becke_weights"};
 };
 
 }  // namespace aeqp::poisson

@@ -1,9 +1,10 @@
-// Tests for the ISSUE 7 Rho-phase batching stack: the raw real_ylm_all
-// overload, SplineBundle::eval_all, ipow, BasisSet::evaluate_batch +
-// contract_density, cutoff screening, HartreeSolver::potential_batch, and
-// the tune/ persistence layer. The headline claims are all bit-for-bit:
-// the batched kernels must reproduce the per-point call chain exactly, and
-// screening at tau = 0 must change nothing.
+// Tests for the Rho-phase batching stack: the raw real_ylm_all overload,
+// SplineBundle::eval_all, ipow, BasisSet::evaluate_batch + the ring-dense
+// contract_density, cutoff screening, the projection's cached Becke
+// weights, HartreeSolver::potential_batch, and the tune/ persistence layer.
+// The headline claims are all bit-for-bit: the batched kernels must
+// reproduce the per-point call chain exactly, and screening at tau = 0 must
+// change nothing.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "basis/basis_set.hpp"
@@ -21,7 +23,10 @@
 #include "core/dfpt.hpp"
 #include "core/structures.hpp"
 #include "exec/thread_pool.hpp"
+#include "grid/angular_grid.hpp"
 #include "grid/molecular_grid.hpp"
+#include "grid/partition.hpp"
+#include "obs/memaudit.hpp"
 #include "poisson/multipole.hpp"
 #include "scf/scf_solver.hpp"
 #include "tune/tune.hpp"
@@ -178,6 +183,203 @@ TEST(RhoBatch, ContractDensityMatchesDoubleLoop) {
     }
     EXPECT_EQ(n[k], ref) << "point " << k;
   }
+}
+
+/// The per-point oracle of contract_density: the plain double loop over one
+/// point's CSR entries, in entry order.
+double density_double_loop(const linalg::Matrix& p, const basis::BatchEval& ev,
+                           std::size_t k) {
+  double n = 0.0;
+  for (std::size_t a = ev.offsets[k]; a < ev.offsets[k + 1]; ++a)
+    for (std::size_t b = ev.offsets[k]; b < ev.offsets[k + 1]; ++b)
+      n += p(ev.indices[a], ev.indices[b]) * ev.values[a] * ev.values[b];
+  return n;
+}
+
+TEST(RhoBatch, ContractDensityHeterogeneousBlocksMatchDoubleLoop) {
+  // H(C2H4)2H: 14 atoms, so a block's basis union is far larger than any
+  // one point's entry list, and neighbouring points see different atoms.
+  const grid::Structure s = core::polyethylene_chain(2);
+  const basis::BasisSet basis(s, basis::BasisTier::Light);
+  const double rc = basis.r_cut();
+  const std::size_t nb = basis.size();
+
+  // Point pool: projection-style rings around several atoms with radii on
+  // both sides of r_cut; axis-aligned points (Y_lm == 0 skips thin their
+  // entry lists); an atom center (r = 0); and far points with no entries.
+  std::vector<Vec3> pts;
+  const grid::AngularGrid ang = grid::AngularGrid::for_degree(10);
+  for (const std::size_t a : {std::size_t{0}, std::size_t{3}, s.size() - 1})
+    for (const double r : {0.4, 2.5, rc - 0.05, rc + 0.05, 9.5})
+      for (std::size_t k = 0; k < ang.size(); ++k)
+        pts.push_back(s.atom(a).pos + r * ang.direction(k));
+  for (const double r : {0.0, 0.7, 1.9})
+    for (const Vec3 u : {Vec3{1, 0, 0}, Vec3{0, -1, 0}, Vec3{0, 0, 1}})
+      pts.push_back(s.atom(1).pos + r * u);
+  pts.push_back({60.0, 0.0, 0.0});
+  pts.push_back({0.0, -80.0, 3.0});
+  // Entries a point would carry without the v == 0 skip: every function of
+  // every atom within r_cut.
+  std::vector<std::size_t> full_rows(pts.size(), 0);
+  for (std::size_t k = 0; k < pts.size(); ++k)
+    for (std::size_t a = 0; a < s.size(); ++a)
+      if ((pts[k] - s.atom(a).pos).norm2() < rc * rc) {
+        const auto [first, last] = basis.atom_range(a);
+        full_rows[k] += last - first;
+      }
+
+  // A non-symmetric P with entries spread over six decades: any change in
+  // the (a, b) summation order shows up in the last bits.
+  Rng rng(11);
+  linalg::Matrix p(nb, nb);
+  for (std::size_t i = 0; i < nb; ++i)
+    for (std::size_t j = 0; j < nb; ++j)
+      p(i, j) = rng.uniform(-1, 1) * std::pow(10.0, rng.uniform(-3, 3));
+
+  basis::BatchEval ev;
+  std::size_t empty_points = 0, thinned_points = 0;
+  for (const double tau : {0.0, 1e-12}) {
+    const std::vector<double> screen = basis.screening_radii(tau);
+    for (const std::size_t n : {1, 7, 8, 66, 67, 300}) {
+      std::vector<double> out;
+      for (std::size_t b = 0; b < pts.size(); b += n) {
+        const std::size_t m = std::min(n, pts.size() - b);
+        basis.evaluate_batch(pts.data() + b, m, screen, ev);
+        out.assign(m, -1.0);
+        basis::contract_density(p, ev, out.data());
+        for (std::size_t k = 0; k < m; ++k) {
+          const double ref = density_double_loop(p, ev, k);
+          EXPECT_EQ(out[k], ref)
+              << "tau=" << tau << " n=" << n << " point " << b + k;
+          EXPECT_FALSE(std::signbit(out[k]) && out[k] == 0.0)
+              << "-0 at point " << b + k;
+          const std::size_t ne = ev.offsets[k + 1] - ev.offsets[k];
+          empty_points += ne == 0;
+          thinned_points += tau == 0.0 && ne > 0 && ne < full_rows[b + k];
+        }
+      }
+    }
+  }
+  // The pool really exercises empty rows and partial (skipped-Y_lm) rows.
+  EXPECT_GT(empty_points, 0u);
+  EXPECT_GT(thinned_points, 0u);
+}
+
+// --- Cached Becke weights of the projection ---------------------------------
+
+poisson::PoissonSpec cache_spec() {
+  poisson::PoissonSpec spec;
+  spec.l_max = 4;
+  spec.radial_points = 40;
+  return spec;
+}
+
+/// Smooth model density: a Gaussian per atom, evaluated ring by ring.
+poisson::BatchDensityFn gaussian_density(const grid::Structure& s) {
+  return [s](const Vec3* pts, std::size_t n, double* out) {
+    for (std::size_t k = 0; k < n; ++k) {
+      double v = 0.0;
+      for (std::size_t a = 0; a < s.size(); ++a)
+        v += std::exp(-0.9 * (pts[k] - s.atom(a).pos).norm2());
+      out[k] = v;
+    }
+  };
+}
+
+/// The projection with BeckePartition::weight called per point: the
+/// pre-cache arithmetic, rebuilt from public pieces.
+std::vector<std::vector<std::vector<double>>> reference_projection(
+    const grid::Structure& s, const poisson::HartreeSolver& solver,
+    const poisson::BatchDensityFn& density) {
+  const int l_max = solver.spec().l_max;
+  const std::size_t nlm = basis::lm_count(l_max);
+  const std::size_t nr = solver.mesh().size();
+  const grid::AngularGrid ang =
+      grid::AngularGrid::for_degree(static_cast<std::size_t>(2 * l_max + 2));
+  const grid::BeckePartition part(s);
+  std::vector<std::vector<std::vector<double>>> samples(
+      s.size(), std::vector<std::vector<double>>(nlm, std::vector<double>(nr, 0.0)));
+  std::vector<double> ylm;
+  for (std::size_t a = 0; a < s.size(); ++a)
+    for (std::size_t i = 0; i < nr; ++i) {
+      std::vector<Vec3> ring(ang.size());
+      std::vector<double> dens(ang.size());
+      for (std::size_t k = 0; k < ang.size(); ++k)
+        ring[k] = s.atom(a).pos + solver.mesh().r(i) * ang.direction(k);
+      density(ring.data(), ring.size(), dens.data());
+      for (std::size_t k = 0; k < ang.size(); ++k) {
+        const double val = dens[k] * part.weight(a, ring[k]) * ang.weight(k);
+        if (val == 0.0) continue;
+        basis::real_ylm_all(l_max, ang.direction(k), ylm);
+        for (std::size_t lm = 0; lm < nlm; ++lm) samples[a][lm][i] += val * ylm[lm];
+      }
+    }
+  return samples;
+}
+
+TEST(RhoBatch, BeckeWeightCacheColdWarmAndPerPointAgree) {
+  const grid::Structure s = core::polyethylene_chain(1);
+  const poisson::HartreeSolver solver(s, cache_spec());
+  const auto density = gaussian_density(s);
+  const auto cold = solver.project(density);  // builds the cache
+  const auto warm = solver.project(density);  // reads it
+  const auto ref = reference_projection(s, solver, density);
+  EXPECT_EQ(cold.samples, ref);
+  EXPECT_EQ(warm.samples, ref);
+}
+
+TEST(RhoBatch, BeckeWeightCacheProjectionBitIdenticalAcrossThreadCounts) {
+  const grid::Structure s = core::water();
+  const auto density = gaussian_density(s);
+  exec::ThreadPool::set_global_threads(1);
+  const poisson::HartreeSolver one(s, cache_spec());
+  const auto r1 = one.project(density);
+  exec::ThreadPool::set_global_threads(4);
+  const poisson::HartreeSolver four(s, cache_spec());
+  const auto r4 = four.project(density);
+  const auto r1_warm_at_4 = one.project(density);  // cache built at 1 thread
+  exec::ThreadPool::set_global_threads(0);
+  EXPECT_EQ(r1.samples, r4.samples);
+  EXPECT_EQ(r1_warm_at_4.samples, r4.samples);
+}
+
+TEST(RhoBatch, BeckeWeightCacheConcurrentFirstProjectIsRaceFree) {
+  const grid::Structure s = core::water();
+  const auto density = gaussian_density(s);
+  const poisson::HartreeSolver reference_solver(s, cache_spec());
+  const auto expected = reference_solver.project(density);
+
+  // Four threads race into project() on a fresh solver: one builds the
+  // cache under call_once, the others wait and then read it.
+  const poisson::HartreeSolver solver(s, cache_spec());
+  std::vector<poisson::MultipoleDensity> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] { got[t] = solver.project(density); });
+  for (auto& th : threads) th.join();
+  for (const auto& g : got) EXPECT_EQ(g.samples, expected.samples);
+}
+
+TEST(RhoBatch, BeckeWeightCacheIsAuditedAndLazy) {
+  const bool audit_was_on = obs::memaudit_enabled();
+  obs::set_memaudit(true);
+  const obs::MemGauge& gauge = obs::mem_gauge("poisson/becke_weights");
+  const std::int64_t base = gauge.current();
+  const grid::Structure s = core::water();
+  {
+    const poisson::PoissonSpec spec;  // library default: 96 shells, l_max 4
+    const poisson::HartreeSolver solver(s, spec);
+    EXPECT_EQ(gauge.current(), base);  // nothing built by the constructor
+    (void)solver.project(gaussian_density(s));
+    // N x 96 shells x 66 angular points doubles: 0.15 MB for water.
+    const auto bytes =
+        static_cast<std::int64_t>(s.size() * 96 * 66 * sizeof(double));
+    EXPECT_EQ(gauge.current(), base + bytes);
+    (void)solver.project(gaussian_density(s));
+    EXPECT_EQ(gauge.current(), base + bytes);  // built once
+  }
+  EXPECT_EQ(gauge.current(), base);
+  obs::set_memaudit(audit_was_on);
 }
 
 TEST(RhoBatch, PotentialBatchBitIdenticalToScalar) {
