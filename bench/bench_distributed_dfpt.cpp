@@ -1,10 +1,11 @@
 // Integration benchmark: the paper's full parallel decomposition executing
 // for real on the threaded simmpi runtime -- distributed Sumup/H phases,
-// replicated Poisson producers, packed (hierarchical) synthesis of the
-// response Hamiltonian -- across rank counts, reduce schemes, and the two
-// Hamiltonian storage modes of Fig. 3. Everything here is measured, not
-// modeled; the table shows how the communication-count savings and the
-// dense-storage advantage materialize in the real DFPT cycle.
+// row-split Poisson producer, packed (hierarchical) synthesis of the
+// response Hamiltonian and rho_multipole -- across rank counts, reduce
+// schemes, and the two Hamiltonian storage modes of Fig. 3. Everything here
+// is measured, not modeled; the table shows how the communication-count
+// savings and the dense-storage advantage materialize in the real DFPT
+// cycle.
 
 #include <benchmark/benchmark.h>
 

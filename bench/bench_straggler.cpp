@@ -69,10 +69,6 @@ core::ParallelDfptOptions bench_popt(parallel::FaultInjector* injector) {
   popt.ranks_per_node = 2;
   popt.reduce_mode = comm::ReduceMode::Flat;
   popt.batch_points = 96;
-  // Weighted Rho-producer shares: under a persistent straggler the
-  // replicated producer would run at the slowest rank's speed no matter how
-  // the grid batches are re-homed, capping the rebalance win far above 2x.
-  popt.distribute_rho = true;
   popt.fault_injector = injector;
   popt.collective_timeout_ms = 30000;
   return popt;
@@ -97,7 +93,7 @@ double governed_seconds(const scf::ScfResult& ground,
   ropt.checkpoint_every = 4;
   RecoveryDriver driver(store, ropt);
   // This molecule's per-collective work windows are a few ms; drop the
-  // ledger's noise floor (production default 5 ms) so they carry signal.
+  // ledger's noise floor (production default 10 ms) so they carry signal.
   // min_relative comes down from the production 4x as well: with all rank
   // threads time-slicing one oversubscribed host core, a healthy rank's
   // wall window contains the whole pack's interleaved compute, which

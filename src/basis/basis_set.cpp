@@ -139,6 +139,17 @@ void BasisSet::evaluate(const Vec3& p, bool with_laplacian, PointEval& out) cons
   }
 }
 
+std::size_t BasisSet::evaluate_bound(const Vec3& p) const {
+  const double rc2 = r_cut_ * r_cut_;
+  std::size_t bound = 0;
+  for (std::size_t a = 0; a < structure_.size(); ++a) {
+    if ((p - structure_.atom(a).pos).norm2() >= rc2) continue;
+    const auto [first, last] = atom_range(a);
+    bound += last - first;
+  }
+  return bound;
+}
+
 std::vector<double> BasisSet::screening_radii(double tau) const {
   std::vector<double> radii(structure_.size(), r_cut_);
   if (tau <= 0.0) return radii;

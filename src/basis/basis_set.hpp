@@ -91,6 +91,12 @@ public:
   /// the Laplacians needed for kinetic-energy integrals.
   void evaluate(const Vec3& p, bool with_laplacian, PointEval& out) const;
 
+  /// Geometry-only upper bound on the entries evaluate(p, ...) emits: every
+  /// function of every atom within r_cut of `p`, the atoms evaluate()
+  /// visits. Lets callers size a point-eval cache exactly once instead of
+  /// by doubling growth, which would leave outgrown buffers on the heap.
+  [[nodiscard]] std::size_t evaluate_bound(const Vec3& p) const;
+
   /// Per-atom screening radii for the batched evaluation path: atom a may
   /// be skipped for a whole point block when every block point is at least
   /// radii[a] away from it. At tau = 0 the radius is exactly r_cut (the

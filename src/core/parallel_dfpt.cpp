@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -26,6 +27,17 @@
 namespace aeqp::core {
 
 using linalg::Matrix;
+
+namespace {
+
+/// One point's nonzero basis values: a row of the per-rank point-eval CSR,
+/// or the scratch evaluation when the cache is shed.
+struct PointRow {
+  std::span<const std::uint32_t> indices;
+  std::span<const double> values;
+};
+
+}  // namespace
 
 ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
                                             const ParallelDfptOptions& options,
@@ -81,8 +93,8 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
   out.stats.survivor_ranks = n_active;
   out.stats.lost_ranks = options.ranks - n_active;
 
-  // Current-world speed weights (1.0 = healthy); reused by the weighted
-  // Rho-producer row split when distribute_rho is on.
+  // Current-world speed weights (1.0 = healthy); they also size the
+  // Rho-producer row shares below.
   std::vector<double> world_weights(n_active, 1.0);
   if (!options.rank_speed_weights.empty()) {
     // Straggler rebalance rung: re-home batches around the measured rank
@@ -110,29 +122,30 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
     obs::trace_instant("mapping/rebalance");
   }
 
-  // Weighted contiguous row ranges of the Poisson producer (empty = the
-  // replicated producer). Shares are proportional to the measured speed
-  // weights -- an 8x-slow rank projects ~1/8 as many rho_multipole rows --
-  // and every rank derives the identical split, so the packed synthesis
-  // below sums disjoint contributions in a fixed order.
-  std::vector<std::size_t> rho_row_begin;
-  if (options.distribute_rho && n_active > 1) {
-    const std::size_t nrows = hartree.projection_row_count();
-    rho_row_begin.assign(n_active + 1, 0);
-    double wsum = 0.0;
-    for (double wv : world_weights) wsum += wv;
-    double acc = 0.0;
-    for (std::size_t s = 0; s + 1 < n_active; ++s) {
-      acc += world_weights[s];
-      rho_row_begin[s + 1] = std::max(
-          rho_row_begin[s],
-          static_cast<std::size_t>(std::llround(
-              static_cast<double>(nrows) * acc / wsum)));
-    }
-    rho_row_begin[n_active] = nrows;
-    for (std::size_t s = 0; s < n_active; ++s)
-      rho_row_begin[s + 1] = std::max(rho_row_begin[s + 1], rho_row_begin[s]);
+  // The memaudit gauge mapping/assignment covers the final mapping for
+  // the lifetime of the solve.
+  const obs::MemScope assignment_mem = mapping::track_assignment(assignment);
+
+  // Weighted contiguous row ranges of the Poisson producer: rank s projects
+  // rows [rho_row_begin[s], rho_row_begin[s + 1]). Shares are proportional
+  // to the speed weights -- equal row counts on a healthy world, ~1/8 as
+  // many rho_multipole rows on an 8x-slow rank -- and every rank derives
+  // the identical split, so the packed synthesis below sums disjoint
+  // contributions in a fixed order. A one-rank world owns every row.
+  const std::size_t nrows = hartree.projection_row_count();
+  std::vector<std::size_t> rho_row_begin(n_active + 1, 0);
+  double wsum = 0.0;
+  for (double wv : world_weights) wsum += wv;
+  double acc = 0.0;
+  for (std::size_t s = 0; s + 1 < n_active; ++s) {
+    acc += world_weights[s];
+    rho_row_begin[s + 1] = std::max(
+        rho_row_begin[s], static_cast<std::size_t>(std::llround(
+                              static_cast<double>(nrows) * acc / wsum)));
   }
+  rho_row_begin[n_active] = nrows;
+  for (std::size_t s = 0; s < n_active; ++s)
+    rho_row_begin[s + 1] = std::max(rho_row_begin[s + 1], rho_row_begin[s]);
 
   std::vector<double> fxc(np);
   for (std::size_t p = 0; p < np; ++p)
@@ -202,15 +215,33 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
     // dominant per-rank allocations are committed: an over-budget rank
     // raises the structured OutOfMemoryBudget here, where the recovery
     // ladder can catch it, instead of dying in std::bad_alloc mid-resize.
-    std::vector<basis::PointEval> my_eval;
-    basis::PointEval eval_scratch;  // on-the-fly slot when the cache is shed
+    // The point-eval cache is one flat CSR over this rank's points, sized
+    // up front from the geometry-only entry bound so no growth slack or
+    // outgrown buffer is left on the heap.
+    std::vector<std::uint32_t> eval_offsets;
+    std::vector<std::uint32_t> eval_indices;
+    std::vector<double> eval_values;
+    basis::PointEval eval_scratch;  // per-point slot (fill, or cache shed)
     if (options.cache_point_evals) {
-      resilience::oom_probe("dfpt/point_cache",
-                            my_points.size() * (sizeof(basis::PointEval) +
-                                                sizeof(std::uint32_t)));
-      my_eval.resize(my_points.size());
-      for (std::size_t k = 0; k < my_points.size(); ++k)
-        basis.evaluate(grid.point(my_points[k]).pos, false, my_eval[k]);
+      std::size_t entry_bound = 0;
+      for (const std::uint32_t p : my_points)
+        entry_bound += basis.evaluate_bound(grid.point(p).pos);
+      resilience::oom_probe(
+          "dfpt/point_cache",
+          (my_points.size() + 1) * sizeof(std::uint32_t) +
+              entry_bound * (sizeof(std::uint32_t) + sizeof(double)));
+      eval_offsets.reserve(my_points.size() + 1);
+      eval_indices.reserve(entry_bound);
+      eval_values.reserve(entry_bound);
+      eval_offsets.push_back(0);
+      for (const std::uint32_t p : my_points) {
+        basis.evaluate(grid.point(p).pos, false, eval_scratch);
+        eval_indices.insert(eval_indices.end(), eval_scratch.indices.begin(),
+                            eval_scratch.indices.end());
+        eval_values.insert(eval_values.end(), eval_scratch.values.begin(),
+                           eval_scratch.values.end());
+        eval_offsets.push_back(static_cast<std::uint32_t>(eval_indices.size()));
+      }
     }
     resilience::oom_probe("dfpt/p1_replicated", nb * nb * sizeof(double));
     Matrix p1(nb, nb);
@@ -222,18 +253,14 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
     obs::MemScope eval_mem("dfpt/point_cache");
     if (obs::memaudit_enabled()) {
       p1_mem.add(static_cast<std::int64_t>(nb * nb * sizeof(double)));
-      std::int64_t eval_bytes = static_cast<std::int64_t>(
-          my_eval.capacity() * sizeof(basis::PointEval) +
-          my_points.capacity() * sizeof(std::uint32_t));
-      for (const auto& ev : my_eval)
-        eval_bytes += static_cast<std::int64_t>(
-            ev.indices.capacity() * sizeof(std::uint32_t) +
-            (ev.values.capacity() + ev.laplacians.capacity()) *
-                sizeof(double));
-      eval_mem.add(eval_bytes);
+      eval_mem.add(static_cast<std::int64_t>(
+          (my_points.capacity() + eval_offsets.capacity() +
+           eval_indices.capacity()) *
+              sizeof(std::uint32_t) +
+          eval_values.capacity() * sizeof(double)));
     }
     // Re-check committed usage now that the measured cache bytes are on the
-    // gauges: the pre-allocation probe used a per-slot estimate, this one
+    // gauges: the pre-allocation probe used the geometry bound, this one
     // is exact (request 0 = audit the ceiling, admit nothing new).
     resilience::oom_probe("dfpt/point_cache_commit", 0);
     std::vector<double> v1_own(my_points.size(), 0.0);
@@ -241,14 +268,17 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
     bool have_response = false;
     Timer timer;
 
-    // Point-eval accessor shared by the Sumup and H loops: the cached slot
-    // when the cache is resident, deterministic re-evaluation into the
+    // Point-eval accessor shared by the Sumup and H loops: the cached CSR
+    // row when the cache is resident, deterministic re-evaluation into the
     // scratch slot when the relief ladder shed it. Bit-identical either
     // way: same evaluator, same points, same accumulation order.
-    const auto eval_of = [&](std::size_t k) -> const basis::PointEval& {
-      if (options.cache_point_evals) return my_eval[k];
+    const auto eval_of = [&](std::size_t k) -> PointRow {
+      if (options.cache_point_evals) {
+        const std::size_t b = eval_offsets[k], n = eval_offsets[k + 1] - b;
+        return {{eval_indices.data() + b, n}, {eval_values.data() + b, n}};
+      }
       basis.evaluate(grid.point(my_points[k]).pos, false, eval_scratch);
-      return eval_scratch;
+      return {eval_scratch.indices, eval_scratch.values};
     };
 
     // Sumup and Rho restricted to this rank's points, as functions of the
@@ -265,7 +295,7 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
         p1_csr = linalg::CsrMatrix(nb, nb, std::move(trips));
       }
       for (std::size_t k = 0; k < my_points.size(); ++k) {
-        const auto& ev = eval_of(k);
+        const PointRow ev = eval_of(k);
         double acc = 0.0;
         if (options.storage == HamiltonianStorage::GlobalSparseCsr) {
           for (std::size_t i = 0; i < ev.indices.size(); ++i) {
@@ -298,16 +328,14 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
         basis.evaluate_batch(pts, m, screen_radii, ev);
         basis::contract_density(p1, ev, outp);
       };
-      poisson::PartitionedPotential v1_part;
-      if (!rho_row_begin.empty()) {
-        // Distributed producer: this rank projects only its weighted share
-        // of the (atom, shell) rows; the full rho_multipole is synthesized
-        // with a packed row-by-row AllReduce. Each row is computed by
-        // exactly one rank and summed with exact zeros, so the synthesized
-        // samples -- and everything downstream -- are bit-identical to the
-        // replicated producer.
-        auto rho_m = hartree.project_rows(n1_fn, rho_row_begin[comm.rank()],
-                                          rho_row_begin[comm.rank() + 1]);
+      // This rank projects only its share of the (atom, shell) rows; the
+      // full rho_multipole is synthesized with a packed row-by-row
+      // AllReduce. Each row is computed by exactly one rank and summed with
+      // exact zeros, so the synthesized samples -- and everything
+      // downstream -- are bit-identical to a whole-solver projection.
+      auto rho_m = hartree.project_rows(n1_fn, rho_row_begin[comm.rank()],
+                                        rho_row_begin[comm.rank() + 1]);
+      {  // scoped: the packer's staging buffer is freed before the solve
         comm::PackedAllReducer packer(
             comm, options.reduce_mode,
             tune::pack_window_bytes(options.pack_bytes),
@@ -318,11 +346,9 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
         packer.flush();
         collectives[comm.rank()] += packer.collective_count();
         rows[comm.rank()] += packer.rows_packed();
-        hartree.finalize_splines(rho_m);
-        v1_part = hartree.solve(rho_m);
-      } else {
-        v1_part = hartree.solve_density(n1_fn);
       }
+      hartree.finalize_splines(rho_m);
+      const poisson::PartitionedPotential v1_part = hartree.solve(rho_m);
       // Batched consumer over this rank's points; per-point values are
       // independent, so blocking never changes v1_own.
       const std::size_t block = tune::rho_block_size(options.dfpt.rho_block_size);
@@ -367,7 +393,7 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
         Matrix partial(nb, nb);
         for (std::size_t k = 0; k < my_points.size(); ++k) {
           const double w = grid.point(my_points[k]).weight * v1_own[k];
-          const auto& ev = eval_of(k);
+          const PointRow ev = eval_of(k);
           for (std::size_t i = 0; i < ev.indices.size(); ++i) {
             const double wi = w * ev.values[i];
             for (std::size_t j = 0; j < ev.indices.size(); ++j)
@@ -449,14 +475,18 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
       //     runs on rank 0 only, so side effects happen exactly once; its
       //     decision is broadcast so every rank takes the same branch. The
       //     extra collective exists only when an observer is installed,
-      //     leaving the baseline collective sequence untouched. ---
+      //     leaving the baseline collective sequence untouched. The hook
+      //     runs off the work clock: its bookkeeping (checkpoint I/O) is
+      //     not grid work, and counting it would make rank 0 look slow. ---
       if (options.dfpt.observer) {
         std::vector<double> action(1, 0.0);
         if (comm.rank() == 0) {
           const CpscfIterationState state{direction, iter, delta,
                                           options.dfpt.mixing, &p1};
-          if (options.dfpt.observer(state) == CpscfAction::Abort)
-            action[0] = 1.0;
+          comm.off_the_clock([&] {
+            if (options.dfpt.observer(state) == CpscfAction::Abort)
+              action[0] = 1.0;
+          });
         }
         comm.broadcast(action, 0);
         if (action[0] != 0.0) {
@@ -502,10 +532,9 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
       }
       if (comm.rank() == 0) result.phase_seconds[Phase::Sumup] += timer.seconds();
 
-      // --- Rho phase: the Poisson producer is replicated on every rank
-      //     (communication avoidance) or, with distribute_rho, split into
-      //     weighted row shares and synthesized by packed AllReduce; the
-      //     consumer runs on own points either way. ---
+      // --- Rho phase: the Poisson producer is split into weighted row
+      //     shares and synthesized by packed AllReduce; the consumer runs
+      //     on this rank's own points. ---
       timer.reset();
       {
         AEQP_TRACE_SCOPE("cpscf/rho");

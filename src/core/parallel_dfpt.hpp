@@ -9,18 +9,20 @@
 ///    Hamiltonian integrals) are distributed over ranks by the
 ///    locality-enhancing batch mapping; partial H^(1) contributions are
 ///    synthesized with a packed (optionally hierarchical) AllReduce.
-///  - The Poisson producer (multipole projection + radial solves) is
-///    replicated on every rank by default, "trading redundant calculations
-///    for communication avoidance" exactly as the paper's producer kernels
-///    do. With `distribute_rho` the projection rows are split across ranks
-///    (weighted by measured rank speeds) and synthesized with a packed
-///    rho_multipole AllReduce -- bit-identical output, used by the
-///    straggler-rebalance rung so a slow rank sheds producer work too.
+///  - Rho is distributed: each rank projects a contiguous share of the
+///    (atom, radial shell) rho_multipole rows -- equal shares on a healthy
+///    world, weighted by measured rank speeds under the straggler-rebalance
+///    rung -- and the full projection is synthesized with a packed
+///    row-by-row AllReduce before every rank runs the radial solves. Each
+///    row is computed by exactly one rank and x + 0 is exact, so the result
+///    is bit-identical to projecting every row on one rank.
 ///  - The Sternheimer update and P^(1) assembly are replicated (identical
 ///    inputs -> identical outputs on every rank).
 ///
-/// The result is bit-wise deterministic and equals the serial DfptSolver
-/// reference, which the test suite asserts.
+/// The result is bit-wise deterministic -- every sum-AllReduce adds the
+/// ranks' contributions in rank order, never in arrival order -- and
+/// equals the serial DfptSolver reference within 1e-8, which the test
+/// suite asserts.
 
 #include <string>
 
@@ -80,22 +82,12 @@ struct ParallelDfptOptions {
   /// Measured per-rank speed weights, ORIGINAL-world indexed (size
   /// `ranks`); non-empty = re-home batches with
   /// mapping::rebalance_for_slow_ranks so slow ranks carry
-  /// proportionally less grid work. World size and rank numbering are
-  /// unchanged -- this is the recovery ladder's rebalance rung, fired
-  /// before any shrink. Empty = keep the locality mapping as-is.
+  /// proportionally less grid work, and size the Rho-producer row shares
+  /// by the same weights so they project proportionally fewer rows. World
+  /// size and rank numbering are unchanged -- this is the recovery
+  /// ladder's rebalance rung, fired before any shrink. Empty = keep the
+  /// locality mapping and equal row shares.
   std::vector<double> rank_speed_weights;
-  /// Distribute the Rho-phase Poisson producer: each rank projects a
-  /// contiguous share of the (atom, radial shell) rho_multipole rows --
-  /// sized by rank_speed_weights when present -- and the partial
-  /// projections are synthesized with a packed row-by-row AllReduce (the
-  /// paper's rho_multipole reduction). Every row is computed by exactly one
-  /// rank and x + 0 is exact in IEEE addition, so the summed projection is
-  /// bit-identical to the replicated producer. Off by default: replicating
-  /// the producer trades redundant compute for communication avoidance,
-  /// the right call when ranks are homogeneous -- but under a straggler
-  /// the replicated producer runs at the slowest rank's speed, so the
-  /// rebalance rung enables this to shed producer work too.
-  bool distribute_rho = false;
   /// CRC-verify every collective payload (Cluster::set_verify_payloads) and
   /// run the packed H-phase AllReduce with a linear checksum element, so
   /// in-flight corruption surfaces as parallel::PayloadCorruption at the

@@ -89,6 +89,7 @@ Cluster::Cluster(std::size_t n_ranks, std::size_t ranks_per_node,
   AEQP_CHECK(origin_.size() == n_ranks_,
              "Cluster: origin map must name every rank exactly once");
   global_barrier_ = std::make_unique<FtBarrier>(n_ranks_);
+  reduce_src_.assign(n_ranks_, nullptr);
   const std::size_t n_nodes = node_count();
   nodes_ = std::vector<NodeState>(n_nodes);
   for (std::size_t nd = 0; nd < n_nodes; ++nd) {
@@ -281,6 +282,7 @@ std::vector<std::exception_ptr> Cluster::run_collect(
     first_error_ = nullptr;
   }
   reduce_arrivals_ = 0;
+  std::fill(reduce_src_.begin(), reduce_src_.end(), nullptr);
   {
     std::lock_guard<std::mutex> lk(global_barrier_->mutex);
     global_barrier_->arrived = 0;
@@ -417,12 +419,14 @@ std::chrono::steady_clock::time_point Communicator::enter_collective(
       cluster_->straggler_->record_work(
           cluster_->origin_[rank_],
           std::chrono::duration<double, std::milli>(t_after - last_leave_)
-              .count());
+                  .count() -
+              off_clock_ms_);
     }
     // A peer may have failed while this rank was stalled by the injector.
     if (cluster_->failed()) cluster_->throw_failure(rank_);
   } else if (cluster_->straggler_ != nullptr && last_leave_valid_) {
-    cluster_->straggler_->record_work(cluster_->origin_[rank_], work_ms);
+    cluster_->straggler_->record_work(cluster_->origin_[rank_],
+                                      work_ms - off_clock_ms_);
   }
   if (verify) {
     const std::uint32_t check =
@@ -450,6 +454,7 @@ void Communicator::leave_collective(
   last_leave_ = now;
   if (cluster_->injector_ != nullptr) last_leave_cpu_ms_ = thread_cpu_ms();
   last_leave_valid_ = true;
+  off_clock_ms_ = 0.0;
   // Entry-to-completion duration feeds the adaptive deadline. Completed
   // collectives only: a timed-out collective throws before reaching here,
   // so the estimate never adapts upward to accommodate a slowdown.
@@ -475,6 +480,57 @@ void Communicator::node_barrier() {
   leave_collective(CollectiveClass::NodeBarrier, t0);
 }
 
+void Communicator::ordered_sum(const char* what, std::span<double> data,
+                               bool contributes,
+                               std::chrono::milliseconds timeout) {
+  Cluster& c = *cluster_;
+  // Publish: contributors hand over their span, nothing is summed yet. The
+  // first contributor fixes the element count; a later mismatch throws on
+  // the mismatching rank before it publishes.
+  if (contributes) {
+    std::lock_guard<std::mutex> lock(c.reduce_mutex_);
+    if (c.reduce_arrivals_ == 0) {
+      c.reduce_count_ = data.size();
+      c.reduce_first_rank_ = rank_;
+    } else if (c.reduce_count_ != data.size()) {
+      AEQP_THROW(std::string(what) + ": element count mismatch: rank " +
+                 std::to_string(c.reduce_first_rank_) + " passed " +
+                 std::to_string(c.reduce_count_) + " elements, rank " +
+                 std::to_string(rank_) + " passed " +
+                 std::to_string(data.size()));
+    }
+    c.reduce_src_[rank_] = data.data();
+    ++c.reduce_arrivals_;
+  }
+  try {
+    c.global_barrier_->arrive_and_wait(c, rank_, timeout);
+    // Rank 0 (always a contributor, node 0's leader) sums the published
+    // spans in rank order, ((0 + c0) + c1) + ..., so the rounding never
+    // depends on which rank took the mutex first.
+    if (rank_ == 0) {
+      std::lock_guard<std::mutex> lock(c.reduce_mutex_);
+      c.reduce_buffer_.assign(c.reduce_count_, 0.0);
+      for (const double*& src : c.reduce_src_) {
+        if (src == nullptr) continue;
+        for (std::size_t i = 0; i < c.reduce_count_; ++i)
+          c.reduce_buffer_[i] += src[i];
+        src = nullptr;
+      }
+      c.reduce_arrivals_ = 0;
+    }
+    c.global_barrier_->arrive_and_wait(c, rank_, timeout);
+  } catch (...) {
+    // A rank leaving early (timeout, peer failure) retracts its span under
+    // the lock, so the summing rank never reads a buffer that is unwinding.
+    std::lock_guard<std::mutex> lock(c.reduce_mutex_);
+    c.reduce_src_[rank_] = nullptr;
+    throw;
+  }
+  if (contributes)
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] = c.reduce_buffer_[i];
+  c.global_barrier_->arrive_and_wait(c, rank_, timeout);
+}
+
 void Communicator::allreduce_sum(std::span<double> data) {
   AEQP_TRACE_SCOPE("comm/allreduce_sum");
   const auto t0 = enter_collective("allreduce_sum", data);
@@ -485,28 +541,7 @@ void Communicator::allreduce_sum(std::span<double> data) {
   obs::comm_record_all("allreduce_sum", static_cast<int>(rank_),
                        static_cast<int>(size()),
                        data.size() * sizeof(double));
-  {
-    std::lock_guard<std::mutex> lock(cluster_->reduce_mutex_);
-    if (cluster_->reduce_arrivals_ == 0) {
-      cluster_->reduce_buffer_.assign(data.size(), 0.0);
-      cluster_->reduce_first_rank_ = rank_;
-    } else if (cluster_->reduce_buffer_.size() != data.size()) {
-      AEQP_THROW("allreduce_sum: element count mismatch: rank " +
-                 std::to_string(cluster_->reduce_first_rank_) + " passed " +
-                 std::to_string(cluster_->reduce_buffer_.size()) +
-                 " elements, rank " + std::to_string(rank_) + " passed " +
-                 std::to_string(data.size()));
-    }
-    for (std::size_t i = 0; i < data.size(); ++i)
-      cluster_->reduce_buffer_[i] += data[i];
-    ++cluster_->reduce_arrivals_;
-  }
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = cluster_->reduce_buffer_[i];
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  if (rank_ == 0) cluster_->reduce_arrivals_ = 0;
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
+  ordered_sum("allreduce_sum", data, /*contributes=*/true, timeout);
   leave_collective(CollectiveClass::AllreduceSum, t0);
 }
 
@@ -558,29 +593,7 @@ void Communicator::allreduce_sum_leaders(std::span<double> data) {
         obs::comm_record("allreduce_sum_leaders", static_cast<int>(rank_),
                          static_cast<int>(dst), data.size() * sizeof(double));
   }
-  if (leader) {
-    std::lock_guard<std::mutex> lock(cluster_->reduce_mutex_);
-    if (cluster_->reduce_arrivals_ == 0) {
-      cluster_->reduce_buffer_.assign(data.size(), 0.0);
-      cluster_->reduce_first_rank_ = rank_;
-    } else if (cluster_->reduce_buffer_.size() != data.size()) {
-      AEQP_THROW("allreduce_sum_leaders: element count mismatch: rank " +
-                 std::to_string(cluster_->reduce_first_rank_) + " passed " +
-                 std::to_string(cluster_->reduce_buffer_.size()) +
-                 " elements, rank " + std::to_string(rank_) + " passed " +
-                 std::to_string(data.size()));
-    }
-    for (std::size_t i = 0; i < data.size(); ++i)
-      cluster_->reduce_buffer_[i] += data[i];
-    ++cluster_->reduce_arrivals_;
-  }
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  if (leader)
-    for (std::size_t i = 0; i < data.size(); ++i)
-      data[i] = cluster_->reduce_buffer_[i];
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
-  if (rank_ == 0) cluster_->reduce_arrivals_ = 0;
-  cluster_->global_barrier_->arrive_and_wait(*cluster_, rank_, timeout);
+  ordered_sum("allreduce_sum_leaders", data, leader, timeout);
   leave_collective(CollectiveClass::AllreduceSumLeaders, t0);
 }
 
@@ -627,6 +640,18 @@ std::span<double> Communicator::node_window(std::size_t size) {
 void Communicator::node_critical(const std::function<void()>& fn) {
   std::lock_guard<std::mutex> lock(cluster_->nodes_[node()].mutex);
   fn();
+}
+
+void Communicator::off_the_clock(const std::function<void()>& fn) {
+  if (!cluster_->timing_armed()) {
+    fn();
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  off_clock_ms_ += std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
 }
 
 }  // namespace aeqp::parallel

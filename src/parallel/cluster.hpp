@@ -149,6 +149,14 @@ public:
   /// Serialize a critical section among the ranks of this node.
   void node_critical(const std::function<void()>& fn);
 
+  /// Run `fn` off this rank's work clock: its wall time is left out of the
+  /// next work sample the straggler ledger receives. For per-rank
+  /// bookkeeping that is not distributed compute -- rank 0's recovery
+  /// observer (health check, checkpoint save) would otherwise make rank 0
+  /// look slow to its own detector. The Slowdown fault's CPU base is not
+  /// touched. Zero clock reads when nothing is timing.
+  void off_the_clock(const std::function<void()>& fn);
+
 private:
   friend class Cluster;
   Communicator(Cluster& cluster, std::size_t rank)
@@ -174,6 +182,12 @@ private:
   void leave_collective(CollectiveClass c,
                         std::chrono::steady_clock::time_point t_enter);
 
+  /// Body shared by the sum-AllReduces: contributing ranks publish their
+  /// span, rank 0 sums the spans in rank order, and every contributor
+  /// reads the result back. The sum is independent of arrival order.
+  void ordered_sum(const char* what, std::span<double> data, bool contributes,
+                   std::chrono::milliseconds timeout);
+
   Cluster* cluster_;
   std::size_t rank_;
   std::size_t seq_ = 0;
@@ -184,6 +198,8 @@ private:
   /// contains co-scheduled peers' compute and would over-punish the victim.
   double last_leave_cpu_ms_ = 0.0;
   bool last_leave_valid_ = false;
+  /// Wall time spent in off_the_clock since the last collective.
+  double off_clock_ms_ = 0.0;
 };
 
 /// Simulated cluster: spawns one thread per rank and runs the given rank
@@ -352,6 +368,10 @@ private:
   std::unique_ptr<FtBarrier> global_barrier_;
   std::mutex reduce_mutex_;
   std::vector<double> reduce_buffer_;
+  /// Spans published into the running sum-AllReduce, one slot per rank
+  /// (null = not contributing); rank 0 sums them in rank order.
+  std::vector<const double*> reduce_src_;
+  std::size_t reduce_count_ = 0;       ///< element count of the running sum
   std::size_t reduce_arrivals_ = 0;
   std::size_t reduce_first_rank_ = 0;  ///< rank that sized the reduce buffer
   std::vector<double> bcast_buffer_;

@@ -190,31 +190,58 @@ void StragglerDetector::record_work(std::size_t original_rank,
 
 bool StragglerDetector::classify() {
   const std::lock_guard<std::mutex> lock(classify_mutex_);
-  // Snapshot and reset the accumulating window totals first: even when this
-  // window turns out to be noise, the next one starts clean.
+  // Snapshot and reset the accumulating window totals first; samples
+  // recorded meanwhile land in the next window.
   std::vector<double> totals;
   std::vector<std::size_t> with_samples;
+  std::vector<std::size_t> counts;
   totals.reserve(ranks_.size());
+  const auto count_samples = [&](RankState& s, std::size_t n) {
+    stats_.samples += n;
+    s.samples_total += n;
+  };
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     RankState& s = *ranks_[r];
     const double total = s.window_ms.exchange(0.0, std::memory_order_relaxed);
     const std::size_t n =
         s.window_samples.exchange(0, std::memory_order_relaxed);
-    stats_.samples += n;
-    s.samples_total += n;
-    if (!s.active || n == 0) continue;
-    s.last_window_ms = total;
+    if (!s.active || n == 0) {
+      count_samples(s, n);
+      continue;
+    }
     totals.push_back(total);
     with_samples.push_back(r);
+    counts.push_back(n);
   }
   ++stats_.windows;
+  const auto close_window = [&] {
+    for (std::size_t k = 0; k < with_samples.size(); ++k) {
+      RankState& s = *ranks_[with_samples[k]];
+      count_samples(s, counts[k]);
+      s.last_window_ms = totals[k];
+    }
+  };
   // A one-rank world (or a window where only one rank moved) has no peers
-  // to be slower than; and a window whose median is under the noise floor
-  // carries no signal either way -- skip, streaks keep their state.
-  if (with_samples.size() < 2) return false;
+  // to be slower than -- skip, streaks keep their state.
+  if (with_samples.size() < 2) {
+    close_window();
+    return false;
+  }
   std::vector<double> scratch = totals;
   const auto [median, mad] = median_mad(scratch);
-  if (median < options_.min_window_ms) return false;
+  // A window whose median is under the noise floor carries no signal yet:
+  // its totals stay in the ledger and the next window adds to them, so a
+  // pack doing a few milliseconds per iteration is judged over as many
+  // iterations as it takes to pass the floor. Streaks keep their state.
+  if (median < options_.min_window_ms) {
+    for (std::size_t k = 0; k < with_samples.size(); ++k) {
+      RankState& s = *ranks_[with_samples[k]];
+      s.window_ms.fetch_add(totals[k], std::memory_order_relaxed);
+      s.window_samples.fetch_add(counts[k], std::memory_order_relaxed);
+    }
+    return false;
+  }
+  close_window();
 
   const double threshold = std::max(median + options_.mad_k * mad,
                                     options_.min_relative * median);

@@ -339,12 +339,6 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
                              : active;
     popts.straggler_detector = straggler;
     popts.rank_speed_weights = rebalance_weights;
-    // A rebalanced world distributes the Poisson producer as well: the
-    // replicated producer runs at the slowest rank's speed no matter how
-    // the grid batches are re-homed, which would cap the rebalance win.
-    // Bit-identical by construction (see ParallelDfptOptions), so flipping
-    // it on mid-recovery never perturbs the trajectory.
-    if (!rebalance_weights.empty()) popts.distribute_rho = true;
     if (relief_drop_point_cache) popts.cache_point_evals = false;
     if (relief_pack_bytes != 0) popts.pack_bytes = relief_pack_bytes;
     if (relief_batch_points != 0) popts.batch_points = relief_batch_points;

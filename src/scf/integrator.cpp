@@ -23,21 +23,12 @@ BatchIntegrator::BatchIntegrator(std::shared_ptr<const basis::BasisSet> basis,
   AEQP_CHECK(basis_ && grid_, "BatchIntegrator: null basis or grid");
   const std::size_t np = grid_->size();
   offsets_.assign(np + 1, 0);
-  // Reserve the sparse cache from a geometry-only upper bound -- every
-  // function of every atom within r_cut of the point, the atoms evaluate()
-  // visits. Doubling growth would leave the outgrown buffers behind on the
-  // heap and raise peak RSS once several integrators live in one process.
-  const grid::Structure& structure = basis_->structure();
-  const double rc2 = basis_->r_cut() * basis_->r_cut();
+  // Reserve the sparse cache from the geometry-only entry bound. Doubling
+  // growth would leave the outgrown buffers behind on the heap and raise
+  // peak RSS once several integrators live in one process.
   std::size_t entry_bound = 0;
-  for (std::size_t p = 0; p < np; ++p) {
-    const Vec3 pos = grid_->point(p).pos;
-    for (std::size_t a = 0; a < structure.size(); ++a) {
-      if ((pos - structure.atom(a).pos).norm2() >= rc2) continue;
-      const auto [first, last] = basis_->atom_range(a);
-      entry_bound += last - first;
-    }
-  }
+  for (std::size_t p = 0; p < np; ++p)
+    entry_bound += basis_->evaluate_bound(grid_->point(p).pos);
   indices_.reserve(entry_bound);
   values_.reserve(entry_bound);
   laplacians_.reserve(entry_bound);

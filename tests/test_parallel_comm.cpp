@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include "comm/hierarchical.hpp"
 #include "comm/packed.hpp"
@@ -46,6 +49,65 @@ TEST(Cluster, AllreduceSumsAcrossRanks) {
     EXPECT_DOUBLE_EQ(v[1], 8.0);
     EXPECT_DOUBLE_EQ(v[2], 14.0);
   });
+}
+
+// Contributions whose floating-point sum depends on the order they are
+// added in: rank order gives ((0 + 1e16) + 1) - 1e16) + 1 = 1, other orders
+// give 0 or 2.
+constexpr double kOrderSensitive[4] = {1e16, 1.0, -1e16, 1.0};
+
+double rank_order_sum() {
+  double s = 0.0;
+  for (const double c : kOrderSensitive) s += c;
+  return s;
+}
+
+// Delays rank `slot` so that every repetition uses a different arrival
+// order (rotations, then reversed rotations).
+void stagger(std::size_t slot, int rep) {
+  const std::size_t shift = static_cast<std::size_t>(rep) % 4;
+  std::size_t pos = (slot + shift) % 4;
+  if (rep % 8 >= 4) pos = 3 - pos;
+  std::this_thread::sleep_for(std::chrono::microseconds(300 * pos));
+}
+
+TEST(Cluster, AllreduceSumIsRankOrderedUnderStaggeredArrival) {
+  const double expected = rank_order_sum();
+  Cluster cluster(4, 2);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<double> got(4, 0.0);
+    cluster.run([&](Communicator& c) {
+      std::vector<double> v = {kOrderSensitive[c.rank()]};
+      stagger(c.rank(), rep);
+      c.allreduce_sum(v);
+      got[c.rank()] = v[0];
+    });
+    for (const double g : got)
+      EXPECT_EQ(std::memcmp(&g, &expected, sizeof(double)), 0)
+          << "repetition " << rep << ": " << g << " vs " << expected;
+  }
+}
+
+TEST(Cluster, AllreduceSumLeadersIsRankOrderedUnderStaggeredArrival) {
+  // 8 ranks at 2 per node: leaders 0, 2, 4, 6 contribute; the followers'
+  // data is ignored and left untouched.
+  const double expected = rank_order_sum();
+  Cluster cluster(8, 2);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<double> got(8, 0.0);
+    cluster.run([&](Communicator& c) {
+      const bool leader = c.node_rank() == 0;
+      std::vector<double> v = {leader ? kOrderSensitive[c.node()] : -7.0};
+      stagger(c.node(), rep);
+      c.allreduce_sum_leaders(v);
+      got[c.rank()] = v[0];
+    });
+    for (std::size_t r = 0; r < 8; ++r) {
+      const double want = r % 2 == 0 ? expected : -7.0;
+      EXPECT_EQ(std::memcmp(&got[r], &want, sizeof(double)), 0)
+          << "repetition " << rep << ", rank " << r << ": " << got[r];
+    }
+  }
 }
 
 TEST(Cluster, RepeatedAllreducesDoNotInterfere) {

@@ -1,10 +1,11 @@
 // Integration tests for the distributed DFPT driver: the parallel
-// decomposition (distributed Sumup/H, replicated Sternheimer/Poisson,
+// decomposition (distributed Sumup/H/Rho, replicated Sternheimer/DM,
 // packed hierarchical synthesis) must reproduce the serial DfptSolver.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "core/dfpt.hpp"
@@ -73,6 +74,8 @@ INSTANTIATE_TEST_SUITE_P(
         std::tuple<std::size_t, std::size_t, comm::ReduceMode>{
             1, 1, comm::ReduceMode::Flat},
         std::tuple<std::size_t, std::size_t, comm::ReduceMode>{
+            1, 1, comm::ReduceMode::Hierarchical},
+        std::tuple<std::size_t, std::size_t, comm::ReduceMode>{
             2, 2, comm::ReduceMode::Flat},
         std::tuple<std::size_t, std::size_t, comm::ReduceMode>{
             4, 2, comm::ReduceMode::Hierarchical},
@@ -80,10 +83,9 @@ INSTANTIATE_TEST_SUITE_P(
             8, 4, comm::ReduceMode::Hierarchical}));
 
 TEST(ParallelDfpt, DistributedRhoProducerMatchesSerialSolver) {
-  // distribute_rho splits the Poisson producer's projection rows across
-  // ranks and synthesizes them with a packed rho_multipole AllReduce; the
-  // result must match the serial reference exactly like the replicated
-  // producer does, with or without speed-weighted shares.
+  // The Poisson producer's projection rows are split across ranks and
+  // synthesized with a packed rho_multipole AllReduce; the result must
+  // match the serial reference with or without speed-weighted shares.
   const auto& ground = ground_h2();
   ASSERT_TRUE(ground.converged);
   DfptOptions dopt;
@@ -97,7 +99,6 @@ TEST(ParallelDfpt, DistributedRhoProducerMatchesSerialSolver) {
   popt.ranks_per_node = 2;
   popt.reduce_mode = comm::ReduceMode::Hierarchical;
   popt.batch_points = 96;
-  popt.distribute_rho = true;
   const ParallelDfptResult par = solve_direction_parallel(ground, popt, 2);
   EXPECT_TRUE(par.direction.converged);
   EXPECT_EQ(par.direction.iterations, ref.iterations);
@@ -109,6 +110,56 @@ TEST(ParallelDfpt, DistributedRhoProducerMatchesSerialSolver) {
   const ParallelDfptResult wpar = solve_direction_parallel(ground, wopt, 2);
   EXPECT_TRUE(wpar.direction.converged);
   EXPECT_LT(wpar.direction.p1.max_abs_diff(ref.p1), 1e-8);
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool bitwise_equal(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(double)) ==
+             0;
+}
+
+ParallelDfptOptions flat4_options() {
+  ParallelDfptOptions popt;
+  popt.dfpt.tolerance = 1e-8;
+  popt.ranks = 4;
+  popt.ranks_per_node = 4;
+  popt.reduce_mode = comm::ReduceMode::Flat;
+  popt.batch_points = 96;
+  return popt;
+}
+
+TEST(ParallelDfpt, FlatFourRankSolveIsBitwiseRepeatable) {
+  // Four contributors to every flat AllReduce: the sums run in rank order,
+  // so thread scheduling can never change a bit of the result.
+  const auto& ground = ground_h2();
+  const ParallelDfptOptions popt = flat4_options();
+  const ParallelDfptResult a = solve_direction_parallel(ground, popt, 2);
+  const ParallelDfptResult b = solve_direction_parallel(ground, popt, 2);
+  ASSERT_TRUE(a.direction.converged);
+  EXPECT_EQ(a.direction.iterations, b.direction.iterations);
+  EXPECT_TRUE(bitwise_equal(a.direction.p1, b.direction.p1));
+  EXPECT_TRUE(bitwise_equal(a.direction.n1_samples, b.direction.n1_samples));
+  const Vec3 da = a.direction.dipole_response, db = b.direction.dipole_response;
+  EXPECT_EQ(std::memcmp(&da, &db, sizeof(Vec3)), 0);
+}
+
+TEST(ParallelDfpt, ShedPointCacheIsBitwiseIdentical) {
+  // The relief ladder's cache_point_evals = false re-evaluates every point
+  // on the fly with the same evaluator and accumulation order as the
+  // resident point-eval CSR.
+  const auto& ground = ground_h2();
+  ParallelDfptOptions popt = flat4_options();
+  const ParallelDfptResult cached = solve_direction_parallel(ground, popt, 2);
+  popt.cache_point_evals = false;
+  const ParallelDfptResult shed = solve_direction_parallel(ground, popt, 2);
+  ASSERT_TRUE(cached.direction.converged);
+  EXPECT_EQ(cached.direction.iterations, shed.direction.iterations);
+  EXPECT_TRUE(bitwise_equal(cached.direction.p1, shed.direction.p1));
 }
 
 TEST(ParallelDfpt, StatsReportLoadAndCommunication) {

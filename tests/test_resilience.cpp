@@ -534,10 +534,11 @@ TEST(DfptResilience, KilledRankInParallelSolverRaisesRankFailure) {
 TEST(DfptResilience, ExhaustedRetryBudgetThrows) {
   const auto& ground = ground_h2();
   parallel::FaultPlan plan;
-  // Collective #3 of rank 0 is a packed H-phase reduce (a data payload --
-  // the corruption poisons an input of the next Sternheimer matmul, where
-  // the ABFT check flags it as uncorrectable, not the control path).
-  plan.add({parallel::FaultKind::NanPayload, /*rank=*/0, /*collective=*/3,
+  // Collective #5 of rank 0 is iteration 3's packed H-phase reduce (a data
+  // payload -- the corruption poisons an input of the next Sternheimer
+  // matmul, where the ABFT check flags it as uncorrectable, not the control
+  // path). Each iteration runs H reduce, observer broadcast, Rho reduce.
+  plan.add({parallel::FaultKind::NanPayload, /*rank=*/0, /*collective=*/5,
             /*element=*/0});
   parallel::FaultInjector injector(std::move(plan));
 
