@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full release build + test suite, then the threading
-# layer and the simmpi runtime under ThreadSanitizer (AEQP_SANITIZE=thread).
+# layer and the simmpi runtime under ThreadSanitizer (AEQP_SANITIZE=thread),
+# then the CPSCF loop suites under AddressSanitizer (AEQP_SANITIZE=address).
 # Run from the repository root:  scripts/tier1.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,5 +21,12 @@ cmake --build build-tsan -j --target test_exec test_parallel_comm test_obs test_
 echo "== tier 1: exec + simmpi + obs + memobs + elastic + sdc + service + membudget + rho-batch + straggler + parallel-dfpt tests under TSan =="
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -R 'test_exec|test_parallel_comm|test_obs|test_memobs|test_elastic|test_sdc|test_service|test_membudget|test_rho_batch|test_straggler|test_parallel_dfpt'
+
+echo "== tier 1: ASan build (AEQP_SANITIZE=address) =="
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAEQP_SANITIZE=address
+cmake --build build-asan -j --target test_dfpt test_parallel_dfpt test_dynamic_response test_device_dfpt test_resilience test_sdc
+
+echo "== tier 1: CPSCF loop suites (dfpt + parallel-dfpt + dynamic + device + resilience + sdc) under ASan =="
+ctest --test-dir build-asan --output-on-failure -R '^(test_dfpt|test_parallel_dfpt|test_dynamic_response|test_device_dfpt|test_resilience|test_sdc)$'
 
 echo "tier1: OK"

@@ -14,6 +14,13 @@
 /// The cycle updates the coefficient response C^(1) through the Sternheimer
 /// (sum-over-states) solution and iterates until self-consistency, then
 /// forms the polarizability (Eq. 13).
+///
+/// There is one CPSCF loop (core/cpscf_loop.hpp); only its grid phases are
+/// pluggable. DfptSolver runs it on the caller's thread with the host grid
+/// kernels (BatchIntegrator Sumup/H, full-grid Rho) or, with
+/// DfptOptions::device, the SIMT Sumup/H kernels; solve_direction_parallel
+/// (core/parallel_dfpt.hpp) runs the same loop inside every simulated rank
+/// with rank-local kernels.
 
 #include <array>
 #include <functional>
@@ -28,6 +35,10 @@
 #include "simt/runtime.hpp"
 
 namespace aeqp::core {
+
+namespace detail {
+struct CpscfSetup;
+}
 
 /// Names of the timed DFPT phases, matching the paper's Fig. 14 legend.
 enum class Phase { DM, Sumup, Rho, H, Sternheimer };
@@ -82,7 +93,8 @@ struct DfptOptions {
   /// Execute the grid-heavy Sumup and H phases through the OpenCL-style
   /// SIMT runtime (work-group per batch, __local dense blocks) instead of
   /// the host integrator. Results are identical; the runtime's counters
-  /// feed the device models. Null = host execution.
+  /// feed the device models. Null = host execution. DfptSolver only:
+  /// solve_direction_parallel has no rank-local device kernels and rejects it.
   std::shared_ptr<simt::SimtRuntime> device;
   /// Batch size used when `device` is set; 0 = the tuned value
   /// (tune::config().grid_batch_points, default 128).
@@ -161,14 +173,9 @@ public:
 private:
   const scf::ScfResult& ground_;
   DfptOptions options_;
-  linalg::Matrix c_occ_;   ///< occupied orbital coefficients
-  linalg::Matrix c_virt_;  ///< virtual orbital coefficients
-  std::vector<double> fxc_;  ///< LDA kernel f_xc(n_0(r)) per grid point
-  /// Per-atom screening radii for the batched Rho evaluation, from
-  /// options.screening_threshold (empty span semantics handled downstream).
-  std::vector<double> screen_radii_;
-  // Device-engine state (populated when options.device is set).
-  std::vector<grid::Batch> device_batches_;
+  /// Orbital split, f_xc and screening radii shared by every direction.
+  std::shared_ptr<const detail::CpscfSetup> setup_;
+  /// Per-batch basis supports of the device engine (options.device only).
   std::vector<kernels::BatchSupport> device_supports_;
 };
 

@@ -3,14 +3,14 @@
 #include <chrono>
 #include <cmath>
 #include <span>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "basis/basis_set.hpp"
 #include "common/error.hpp"
 #include "common/thread_ident.hpp"
 #include "common/timer.hpp"
-#include "linalg/abft.hpp"
+#include "core/cpscf_loop.hpp"
 #include "linalg/sparse.hpp"
 #include "obs/memaudit.hpp"
 #include "obs/metrics.hpp"
@@ -18,11 +18,8 @@
 #include "parallel/cluster.hpp"
 #include "parallel/fault.hpp"
 #include "poisson/multipole.hpp"
-#include "resilience/guards.hpp"
 #include "resilience/membudget.hpp"
-#include "resilience/sdc_inject.hpp"
 #include "tune/tune.hpp"
-#include "xc/lda.hpp"
 
 namespace aeqp::core {
 
@@ -44,17 +41,16 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
                                             int direction) {
   AEQP_CHECK(direction >= 0 && direction < 3,
              "solve_direction_parallel: direction must be 0..2");
-  AEQP_CHECK(ground.converged, "solve_direction_parallel: unconverged ground state");
-  AEQP_CHECK(ground.basis && ground.grid && ground.integrator && ground.hartree,
-             "solve_direction_parallel: ground state lacks shared machinery");
+  AEQP_CHECK(!options.dfpt.device,
+             "solve_direction_parallel: DfptOptions::device is not supported "
+             "(no rank-local device kernels); use DfptSolver");
+  const detail::CpscfSetup setup = detail::make_cpscf_setup(ground, options.dfpt);
 
   const auto& basis = *ground.basis;
   const auto& grid = *ground.grid;
   const auto& integ = *ground.integrator;
   const auto& hartree = *ground.hartree;
   const std::size_t nb = ground.coefficients.rows();
-  const std::size_t n_occ = static_cast<std::size_t>(ground.n_occupied);
-  const std::size_t n_virt = nb - n_occ;
   const std::size_t np = grid.size();
 
   // Elastic world: a non-empty active_ranks list re-enters the solver at a
@@ -71,9 +67,7 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
                "increasing");
   }
 
-  // Shared, read-only setup: batches, locality mapping, XC kernel, the
-  // occupied/virtual splits and the bare perturbation (identical to the
-  // serial DfptSolver; see dfpt.cpp).
+  // Shared, read-only setup: batches and the locality mapping.
   const auto batches =
       grid::make_batches(grid, tune::grid_batch_points(options.batch_points));
   AEQP_CHECK(batches.size() >= options.ranks,
@@ -147,24 +141,6 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
   for (std::size_t s = 0; s < n_active; ++s)
     rho_row_begin[s + 1] = std::max(rho_row_begin[s + 1], rho_row_begin[s]);
 
-  std::vector<double> fxc(np);
-  for (std::size_t p = 0; p < np; ++p)
-    fxc[p] = xc::lda_evaluate(std::max(ground.density_samples[p], 0.0)).fxc;
-
-  // Screening radii are shared read-only state: geometry + threshold only,
-  // so every rank derives identical screening decisions.
-  const std::vector<double> screen_radii =
-      basis.screening_radii(options.dfpt.screening_threshold);
-
-  Matrix c_occ(nb, n_occ), c_virt(nb, n_virt);
-  for (std::size_t mu = 0; mu < nb; ++mu) {
-    for (std::size_t i = 0; i < n_occ; ++i) c_occ(mu, i) = ground.coefficients(mu, i);
-    for (std::size_t a = 0; a < n_virt; ++a)
-      c_virt(mu, a - 0) = ground.coefficients(mu, n_occ + a);
-  }
-  Matrix h1_ext = integ.dipole_matrix(direction);
-  h1_ext.scale(-1.0);
-
   out.stats.batches = batches.size();
   std::size_t total_pts = 0, max_pts = 0;
   for (std::size_t r = 0; r < n_active; ++r) {
@@ -179,12 +155,8 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
   std::vector<double> n1_full(np, 0.0);
   std::vector<std::size_t> collectives(n_active, 0);
   std::vector<std::size_t> rows(n_active, 0);
-  DfptDirectionResult result;
-  result.phase_seconds[Phase::DM] = result.phase_seconds[Phase::Sumup] =
-      result.phase_seconds[Phase::Rho] = result.phase_seconds[Phase::H] =
-          result.phase_seconds[Phase::Sternheimer] = 0.0;
-
-  double final_delta = 0.0;  // written by rank 0 (deltas are replicated)
+  DfptDirectionResult result;  // rank 0's (the cycle is replicated)
+  double final_delta = 0.0;
 
   parallel::Cluster cluster(n_active, options.ranks_per_node,
                             std::vector<std::size_t>(active));
@@ -244,7 +216,6 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
       }
     }
     resilience::oom_probe("dfpt/p1_replicated", nb * nb * sizeof(double));
-    Matrix p1(nb, nb);
     // Memory audit (ROADMAP item 3): P^(1) is fully replicated per rank
     // (O(N^2) in global basis size) and the point-eval cache scales with
     // the rank's point share -- the two dominant per-rank structures this
@@ -265,8 +236,6 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
     resilience::oom_probe("dfpt/point_cache_commit", 0);
     std::vector<double> v1_own(my_points.size(), 0.0);
     std::vector<double> n1_own(my_points.size(), 0.0);
-    bool have_response = false;
-    Timer timer;
 
     // Point-eval accessor shared by the Sumup and H loops: the cached CSR
     // row when the cache is resident, deterministic re-evaluation into the
@@ -280,11 +249,27 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
       basis.evaluate(grid.point(my_points[k]).pos, false, eval_scratch);
       return {eval_scratch.indices, eval_scratch.values};
     };
+    // Packed (optionally hierarchical) sum-AllReduce of the rows `add_rows`
+    // stages; packing regroups rows without reordering the reduction.
+    const auto packed_sum = [&](const auto& add_rows) {
+      comm::PackedAllReducer packer(comm, options.reduce_mode,
+                                    tune::pack_window_bytes(options.pack_bytes),
+                                    options.verify_collectives);
+      add_rows(packer);
+      packer.flush();
+      collectives[comm.rank()] += packer.collective_count();
+      rows[comm.rank()] += packer.rows_packed();
+    };
 
-    // Sumup and Rho restricted to this rank's points, as functions of the
-    // (replicated) P^(1); shared by the iteration body and the warm-start
-    // path so a resume recomputes the derived response state identically.
-    const auto compute_sumup_own = [&]() {
+    // Rank-local provider: the grid phases on this rank's points; the
+    // Sternheimer update and P^(1) assembly run replicated in the shared
+    // loop (identical inputs -> identical outputs on every rank).
+    detail::CpscfKernels kern;
+    // Sumup: n^(1) on this rank's points. Under the legacy storage mode the
+    // contraction fetches every matrix element from a CSR copy (row pointer
+    // + column search + value, the inefficiency Fig. 3(a) illustrates); the
+    // values are identical either way.
+    kern.sumup = [&](const Matrix& p1) -> std::span<double> {
       linalg::CsrMatrix p1_csr;
       if (options.storage == HamiltonianStorage::GlobalSparseCsr) {
         std::vector<linalg::Triplet> trips;
@@ -315,38 +300,32 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
         }
         n1_own[k] = acc;
       }
-      // Compute-site probe for this rank's density batch; events can
-      // target one rank through the thread's rank tag.
-      resilience::sdc_probe("cpscf/rho_batch", {n1_own.data(), n1_own.size()});
+      return n1_own;
     };
-    const auto compute_rho_own = [&]() {
+    // Rho: the Poisson producer is split into weighted row shares and
+    // synthesized by packed AllReduce; the consumer runs on this rank's
+    // own points.
+    kern.rho = [&](const Matrix& p1) -> std::span<double> {
       // Batched producer: angular rings are evaluated through the screened
       // batch path (ring blocks are geometry-defined, hence rank-identical).
       const poisson::BatchDensityFn n1_fn = [&](const Vec3* pts, std::size_t m,
                                                 double* outp) {
         thread_local basis::BatchEval ev;
-        basis.evaluate_batch(pts, m, screen_radii, ev);
+        basis.evaluate_batch(pts, m, setup.screen_radii, ev);
         basis::contract_density(p1, ev, outp);
       };
-      // This rank projects only its share of the (atom, shell) rows; the
-      // full rho_multipole is synthesized with a packed row-by-row
-      // AllReduce. Each row is computed by exactly one rank and summed with
-      // exact zeros, so the synthesized samples -- and everything
-      // downstream -- are bit-identical to a whole-solver projection.
+      // This rank projects only its share of the (atom, shell) rows. Each
+      // row is computed by exactly one rank and summed with exact zeros, so
+      // the synthesized samples -- and everything downstream -- are
+      // bit-identical to a whole-solver projection.
       auto rho_m = hartree.project_rows(n1_fn, rho_row_begin[comm.rank()],
                                         rho_row_begin[comm.rank() + 1]);
-      {  // scoped: the packer's staging buffer is freed before the solve
-        comm::PackedAllReducer packer(
-            comm, options.reduce_mode,
-            tune::pack_window_bytes(options.pack_bytes),
-            options.verify_collectives);
+      // The packer's staging buffer is freed before the solve.
+      packed_sum([&](comm::PackedAllReducer& packer) {
         for (auto& per_atom : rho_m.samples)
           for (auto& channel : per_atom)
             packer.add(std::span<double>(channel.data(), channel.size()));
-        packer.flush();
-        collectives[comm.rank()] += packer.collective_count();
-        rows[comm.rank()] += packer.rows_packed();
-      }
+      });
       hartree.finalize_splines(rho_m);
       const poisson::PartitionedPotential v1_part = hartree.solve(rho_m);
       // Batched consumer over this rank's points; per-point values are
@@ -362,193 +341,55 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
           ppos[k - b0] = grid.point(my_points[k]).pos;
         hartree.potential_batch(v1_part, ppos.data(), e0 - b0, vh.data());
         for (std::size_t k = b0; k < e0; ++k)
-          v1_own[k] = vh[k - b0] + fxc[my_points[k]] * n1_own[k];
+          v1_own[k] = vh[k - b0] + setup.fxc[my_points[k]] * n1_own[k];
       }
+      return v1_own;
     };
-
-    int start_iteration = 0;
-    if (options.dfpt.warm_start) {
-      const auto& ws = *options.dfpt.warm_start;
-      AEQP_CHECK(ws.p1.rows() == nb && ws.p1.cols() == nb,
-                 "solve_direction_parallel: warm start P^(1) has wrong dimensions");
-      AEQP_CHECK(ws.iteration >= 1 && ws.iteration < options.dfpt.max_iterations,
-                 "solve_direction_parallel: warm start iteration outside "
-                 "(0, max_iterations)");
-      p1 = ws.p1;
-      have_response = true;
-      start_iteration = ws.iteration;
-      compute_sumup_own();
-      compute_rho_own();
-    }
-
-    for (int iter = start_iteration + 1; iter <= options.dfpt.max_iterations;
-         ++iter) {
-      // --- H phase (distributed): partial response-Hamiltonian integrals
-      //     over this rank's grid points, synthesized by packed AllReduce.
-      timer.reset();
-      obs::PhaseSpan phase_span;
-      phase_span.begin("cpscf/h");
-      Matrix h1 = h1_ext;
-      if (have_response) {
-        Matrix partial(nb, nb);
-        for (std::size_t k = 0; k < my_points.size(); ++k) {
-          const double w = grid.point(my_points[k]).weight * v1_own[k];
-          const PointRow ev = eval_of(k);
-          for (std::size_t i = 0; i < ev.indices.size(); ++i) {
-            const double wi = w * ev.values[i];
-            for (std::size_t j = 0; j < ev.indices.size(); ++j)
-              partial(ev.indices[i], ev.indices[j]) += wi * ev.values[j];
-          }
+    // H: partial response-Hamiltonian integrals over this rank's points,
+    // synthesized by packed AllReduce.
+    kern.potential_matrix = [&] {
+      Matrix partial(nb, nb);
+      for (std::size_t k = 0; k < my_points.size(); ++k) {
+        const double w = grid.point(my_points[k]).weight * v1_own[k];
+        const PointRow ev = eval_of(k);
+        for (std::size_t i = 0; i < ev.indices.size(); ++i) {
+          const double wi = w * ev.values[i];
+          for (std::size_t j = 0; j < ev.indices.size(); ++j)
+            partial(ev.indices[i], ev.indices[j]) += wi * ev.values[j];
         }
-        comm::PackedAllReducer packer(comm, options.reduce_mode,
-                                      tune::pack_window_bytes(options.pack_bytes),
-                                      options.verify_collectives);
+      }
+      packed_sum([&](comm::PackedAllReducer& packer) {
         for (std::size_t row = 0; row < nb; ++row)
           packer.add(std::span<double>(partial.data() + row * nb, nb));
-        packer.flush();
-        collectives[comm.rank()] += packer.collective_count();
-        rows[comm.rank()] += packer.rows_packed();
-        h1.axpy(1.0, partial);
-        h1.symmetrize();
-      }
-      // Synthesized response Hamiltonian must be Hermitian and finite on
-      // every rank (replicated value -- all ranks check, all ranks throw
-      // together on violation, keeping the collective schedule aligned).
-      resilience::guard_hermitian(h1, "cpscf/h1");
-      phase_span.end();
-      if (comm.rank() == 0) result.phase_seconds[Phase::H] += timer.seconds();
-
-      // --- Sternheimer + DM (replicated; identical on every rank). ---
-      timer.reset();
-      phase_span.begin("cpscf/sternheimer");
-      // With ABFT on, the replicated Sternheimer/DM products carry
-      // checksums on every rank: a compute-site fault on one rank is
-      // corrected locally before it can de-synchronize the replicas.
-      const Matrix h1_vo =
-          options.dfpt.abft
-              ? linalg::abft_matmul_tn(
-                    c_virt,
-                    linalg::abft_matmul(h1, c_occ, "cpscf/sternheimer_matmul"),
-                    "cpscf/sternheimer_matmul")
-              : linalg::matmul_tn(c_virt, linalg::matmul(h1, c_occ));
-      Matrix u(n_virt, n_occ);
-      for (std::size_t a = 0; a < n_virt; ++a)
-        for (std::size_t i = 0; i < n_occ; ++i)
-          u(a, i) = h1_vo(a, i) / (ground.eigenvalues[i] -
-                                   ground.eigenvalues[n_occ + a]);
-      const Matrix c1 = options.dfpt.abft
-                            ? linalg::abft_matmul(c_virt, u, "cpscf/dm_matmul")
-                            : linalg::matmul(c_virt, u);
-      phase_span.end();
-      if (comm.rank() == 0)
-        result.phase_seconds[Phase::Sternheimer] += timer.seconds();
-
-      timer.reset();
-      phase_span.begin("cpscf/dm");
-      Matrix p1_new(nb, nb);
-      for (std::size_t i = 0; i < n_occ; ++i) {
-        const double f = ground.occupations[i];
-        for (std::size_t mu = 0; mu < nb; ++mu) {
-          const double c1mi = c1(mu, i), cmi = c_occ(mu, i);
-          for (std::size_t nu = 0; nu < nb; ++nu)
-            p1_new(mu, nu) += f * (c1mi * c_occ(nu, i) + cmi * c1(nu, i));
-        }
-      }
-      if (have_response) {
-        p1_new.scale(options.dfpt.mixing);
-        p1_new.axpy(1.0 - options.dfpt.mixing, p1);
-      }
-      const double delta = p1_new.max_abs_diff(p1);
-      p1 = std::move(p1_new);
-      // Phase-boundary invariants on the replicated P^(1): finite, and
-      // traceless against the overlap metric (electron-count conservation).
-      resilience::guard_finite(p1, "cpscf/p1");
-      resilience::guard_trace_identity(p1, ground.overlap, 0.0, "cpscf/p1");
-      phase_span.end();
-      if (comm.rank() == 0) {
-        result.phase_seconds[Phase::DM] += timer.seconds();
-        result.iterations = iter;
-        final_delta = delta;
-      }
-
-      // --- Observer hook (health validation / checkpointing). The hook
-      //     runs on rank 0 only, so side effects happen exactly once; its
-      //     decision is broadcast so every rank takes the same branch. The
-      //     extra collective exists only when an observer is installed,
-      //     leaving the baseline collective sequence untouched. The hook
-      //     runs off the work clock: its bookkeeping (checkpoint I/O) is
-      //     not grid work, and counting it would make rank 0 look slow. ---
+      });
+      return partial;
+    };
+    // Observer on rank 0 only, so side effects happen exactly once; its
+    // decision is broadcast so every rank takes the same branch. The extra
+    // collective exists only when an observer is installed, leaving the
+    // baseline collective sequence untouched. The hook runs off the work
+    // clock: its bookkeeping (checkpoint I/O) is not grid work, and
+    // counting it would make rank 0 look slow. Then the rank hook runs on
+    // EVERY rank with communicator access -- the buddy-replication entry
+    // point -- after the abort broadcast, so the schedule stays uniform.
+    kern.observe = [&](const CpscfIterationState& state) {
       if (options.dfpt.observer) {
         std::vector<double> action(1, 0.0);
-        if (comm.rank() == 0) {
-          const CpscfIterationState state{direction, iter, delta,
-                                          options.dfpt.mixing, &p1};
+        if (comm.rank() == 0)
           comm.off_the_clock([&] {
             if (options.dfpt.observer(state) == CpscfAction::Abort)
               action[0] = 1.0;
           });
-        }
         comm.broadcast(action, 0);
-        if (action[0] != 0.0) {
-          if (comm.rank() == 0) result.aborted = true;
-          break;
-        }
+        if (action[0] != 0.0) return CpscfAction::Abort;
       }
+      if (options.rank_hook) options.rank_hook(comm, state);
+      return CpscfAction::Continue;
+    };
 
-      // --- Elastic hook: runs on EVERY rank with communicator access and
-      //     the (replicated) iteration state -- the buddy-replication entry
-      //     point. Placed after the abort broadcast so all ranks take the
-      //     same branch and the collective schedule stays uniform. ---
-      if (options.rank_hook) {
-        const CpscfIterationState state{direction, iter, delta,
-                                        options.dfpt.mixing, &p1};
-        options.rank_hook(comm, state);
-      }
-
-      // --- Sumup phase (distributed): n^(1) on this rank's points. Under
-      //     the legacy storage mode the contraction fetches every matrix
-      //     element from a CSR copy (row pointer + column search + value,
-      //     the inefficiency Fig. 3(a) illustrates); the values are
-      //     identical either way. ---
-      timer.reset();
-      {
-        AEQP_TRACE_SCOPE("cpscf/sumup");
-        compute_sumup_own();
-        // Second rung of the SDC ladder, rank-locally: the batch is a pure
-        // function of the replicated P^(1), so one recompute repairs a
-        // transient corruption without any collective traffic. A repeat
-        // violation escalates (throws; peers see RankFailure and the
-        // RecoveryDriver takes over).
-        try {
-          resilience::guard_finite({n1_own.data(), n1_own.size()},
-                                   "cpscf/n1");
-        } catch (const InvariantViolation&) {
-          obs::counter("sdc/local_recomputes").increment();
-          obs::trace_instant("sdc/recompute");
-          compute_sumup_own();
-          resilience::guard_finite({n1_own.data(), n1_own.size()},
-                                   "cpscf/n1");
-        }
-      }
-      if (comm.rank() == 0) result.phase_seconds[Phase::Sumup] += timer.seconds();
-
-      // --- Rho phase: the Poisson producer is split into weighted row
-      //     shares and synthesized by packed AllReduce; the consumer runs
-      //     on this rank's own points. ---
-      timer.reset();
-      {
-        AEQP_TRACE_SCOPE("cpscf/rho");
-        compute_rho_own();
-        resilience::guard_finite({v1_own.data(), v1_own.size()}, "cpscf/v1");
-      }
-      if (comm.rank() == 0) result.phase_seconds[Phase::Rho] += timer.seconds();
-
-      have_response = true;
-      if (delta < options.dfpt.tolerance && iter > 1) {
-        if (comm.rank() == 0) result.converged = true;
-        break;
-      }
-    }
+    DfptDirectionResult run;
+    const double last_delta =
+        detail::run_cpscf(ground, setup, options.dfpt, direction, kern, run);
 
     // Publish this rank's share of n^(1) (disjoint indices) and the moment.
     for (std::size_t k = 0; k < my_points.size(); ++k)
@@ -562,25 +403,18 @@ ParallelDfptResult solve_direction_parallel(const scf::ScfResult& ground,
     }
     comm.allreduce_sum(moments);
     if (comm.rank() == 0) {
-      result.dipole_response = {moments[0], moments[1], moments[2]};
-      result.p1 = p1;
-      for (int axis = 0; axis < 3; ++axis)
-        result.dipole_response_trace[axis] =
-            linalg::trace_product(p1, integ.dipole_matrix(axis));
+      run.dipole_response = {moments[0], moments[1], moments[2]};
+      result = std::move(run);
+      final_delta = last_delta;
     }
   });
 
-  if (!result.converged && !result.aborted && options.dfpt.require_convergence) {
-    std::ostringstream msg;
-    msg << "solve_direction_parallel: CPSCF failed to converge for direction "
-        << direction << ": " << result.iterations
-        << " iterations, last max|dP1|=" << final_delta
-        << ", tolerance=" << options.dfpt.tolerance
-        << ", mixing=" << options.dfpt.mixing << " (" << n_active << " of "
-        << options.ranks << " ranks)";
-    AEQP_THROW(msg.str());
-  }
-
+  detail::check_convergence(result, final_delta, options.dfpt, direction,
+                            " (" + std::to_string(n_active) + " of " +
+                                std::to_string(options.ranks) + " ranks)");
+  for (int axis = 0; axis < 3; ++axis)
+    result.dipole_response_trace[axis] =
+        linalg::trace_product(result.p1, integ.dipole_matrix(axis));
   result.n1_samples = std::move(n1_full);
   out.direction = std::move(result);
   for (std::size_t r = 0; r < n_active; ++r) {

@@ -4,7 +4,10 @@
 /// Distributed DFPT on the simulated MPI runtime -- the paper's parallel
 /// decomposition executed for real at laptop scale.
 ///
-/// Division of labour per CPSCF iteration (paper Secs. 3-4):
+/// Every rank runs the one CPSCF loop DfptSolver runs (core/cpscf_loop.hpp,
+/// the same Sternheimer step, DM build, guards and convergence test) with
+/// a rank-local grid provider. Division of labour per CPSCF iteration
+/// (paper Secs. 3-4):
 ///  - The grid-heavy phases (Sumup: n^(1) on grid points; H: response-
 ///    Hamiltonian integrals) are distributed over ranks by the
 ///    locality-enhancing batch mapping; partial H^(1) contributions are
@@ -18,6 +21,13 @@
 ///    is bit-identical to projecting every row on one rank.
 ///  - The Sternheimer update and P^(1) assembly are replicated (identical
 ///    inputs -> identical outputs on every rank).
+///  - The observer runs on rank 0 off the work clock and its decision is
+///    broadcast; rank_hook then runs on every rank.
+///
+/// Collective sequence per iteration: the packed H reduce (once a response
+/// exists), the observer broadcast (with an observer), the rank_hook's
+/// collectives, the packed Rho row reduce; after the loop one moment
+/// AllReduce.
 ///
 /// The result is bit-wise deterministic -- every sum-AllReduce adds the
 /// ranks' contributions in rank order, never in arrival order -- and
@@ -43,7 +53,7 @@ enum class HamiltonianStorage {
 
 /// Parallel-run configuration.
 struct ParallelDfptOptions {
-  DfptOptions dfpt;                 ///< convergence/mixing settings
+  DfptOptions dfpt;                 ///< CPSCF settings; `device` is rejected
   std::size_t ranks = 4;            ///< simulated MPI ranks
   std::size_t ranks_per_node = 2;   ///< SHM node width
   /// Cut-plane batch size; 0 = the tuned value (default 128).

@@ -6,6 +6,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "core/dfpt.hpp"
@@ -176,12 +179,57 @@ TEST(ParallelDfpt, StatsReportLoadAndCommunication) {
   EXPECT_GE(par.stats.max_rank_points_share, 1.0);
 }
 
+TEST(ParallelDfpt, DynamicResponseMatchesSerialSolver) {
+  // The distributed solver runs the same omega-general Sternheimer step as
+  // DfptSolver, so alpha(omega) must match the serial reference and differ
+  // from the static alpha on any topology.
+  const auto& ground = ground_h2();
+  DfptOptions dopt;
+  dopt.tolerance = 1e-8;
+  const double alpha_static =
+      DfptSolver(ground, dopt).solve_direction(2).dipole_response.z;
+  dopt.frequency = 0.08;  // the omega of DynamicResponse.TraceAndMomentStillAgree
+  const double alpha_dynamic =
+      DfptSolver(ground, dopt).solve_direction(2).dipole_response.z;
+  ASSERT_GT(std::fabs(alpha_dynamic - alpha_static), 1e-4);
+
+  for (const auto& [ranks, per_node, mode] :
+       {std::tuple<std::size_t, std::size_t, comm::ReduceMode>{
+            2, 2, comm::ReduceMode::Flat},
+        std::tuple<std::size_t, std::size_t, comm::ReduceMode>{
+            4, 2, comm::ReduceMode::Hierarchical}}) {
+    ParallelDfptOptions popt;
+    popt.dfpt = dopt;
+    popt.ranks = ranks;
+    popt.ranks_per_node = per_node;
+    popt.reduce_mode = mode;
+    popt.batch_points = 96;
+    const ParallelDfptResult par = solve_direction_parallel(ground, popt, 2);
+    EXPECT_TRUE(par.direction.converged) << ranks << " ranks";
+    EXPECT_NEAR(par.direction.dipole_response.z, alpha_dynamic, 1e-8)
+        << ranks << " ranks";
+    EXPECT_GT(std::fabs(par.direction.dipole_response.z - alpha_static), 1e-4)
+        << ranks << " ranks";
+  }
+}
+
 TEST(ParallelDfpt, RejectsBadArguments) {
   const auto& ground = ground_h2();
   ParallelDfptOptions popt;
   EXPECT_THROW(solve_direction_parallel(ground, popt, 3), Error);
   popt.ranks = 100000;  // more ranks than batches
   EXPECT_THROW(solve_direction_parallel(ground, popt, 0), Error);
+  // No rank-local device kernels exist, so the option is refused by name.
+  ParallelDfptOptions dev;
+  dev.dfpt.device =
+      std::make_shared<simt::SimtRuntime>(simt::DeviceModel::gcn_gpu());
+  try {
+    (void)solve_direction_parallel(ground, dev, 0);
+    ADD_FAILURE() << "DfptOptions::device was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("DfptOptions::device"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/dfpt.hpp"
+#include "core/parallel_dfpt.hpp"
 #include "core/relax.hpp"
 #include "grid/structure.hpp"
 
@@ -81,7 +83,23 @@ TEST(DfptErrors, NoVirtualOrbitalsRejected) {
   opt.poisson.radial_points = 64;
   const auto ground = scf::ScfSolver(h, opt).run();
   ASSERT_TRUE(ground.converged);
-  EXPECT_THROW(core::DfptSolver(ground, {}), Error);
+  std::string serial_what;
+  try {
+    (void)core::DfptSolver(ground, {});
+  } catch (const Error& e) {
+    serial_what = e.what();
+  }
+  EXPECT_FALSE(serial_what.empty()) << "DfptSolver accepted the ground state";
+  // The distributed solver shares the setup, so it refuses the same ground
+  // state with the same error.
+  core::ParallelDfptOptions popt;
+  popt.ranks = 2;
+  try {
+    (void)core::solve_direction_parallel(ground, popt, 2);
+    ADD_FAILURE() << "solve_direction_parallel accepted the ground state";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), serial_what);
+  }
 }
 
 }  // namespace
