@@ -1,13 +1,16 @@
 #include "core/cpscf_loop.hpp"
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/thread_ident.hpp"
 #include "common/timer.hpp"
 #include "exec/thread_pool.hpp"
 #include "linalg/abft.hpp"
+#include "obs/memaudit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resilience/guards.hpp"
@@ -46,6 +49,30 @@ CpscfSetup make_cpscf_setup(const scf::ScfResult& ground,
   return s;
 }
 
+namespace {
+
+/// The next P^(1) input sum_i c_i (P_in,i + beta R_i) over the history. A
+/// one-pair history (or a singular B matrix, which drops all but the latest
+/// pair) is the linear mix P_in + beta R.
+Matrix pulay_next(scf::PulayHistory& pulay, double beta) {
+  std::optional<linalg::Vector> c = pulay.coefficients();
+  if (!c) {
+    if (obs::enabled() && thread_rank() <= 0) {
+      static obs::Counter& resets = obs::counter("cpscf/pulay_resets");
+      resets.increment();
+    }
+    c = linalg::Vector{1.0};
+  }
+  Matrix next(pulay.x(0).rows(), pulay.x(0).cols());
+  for (std::size_t i = 0; i < c->size(); ++i) {
+    next.axpy((*c)[i], pulay.x(i));
+    next.axpy((*c)[i] * beta, pulay.e(i));
+  }
+  return next;
+}
+
+}  // namespace
+
 double run_cpscf(const scf::ScfResult& ground, const CpscfSetup& setup,
                  const DfptOptions& options, int direction,
                  const CpscfKernels& kernels, DfptDirectionResult& res) {
@@ -65,6 +92,8 @@ double run_cpscf(const scf::ScfResult& ground, const CpscfSetup& setup,
   p1 = Matrix(nb, nb);
   bool have_response = false;
   double last_delta = 0.0;
+  scf::PulayHistory pulay(kCpscfPulayHistory);
+  obs::MemScope pulay_mem("cpscf/pulay_history");
 
   // Compute-site probe: a planted fault corrupts the freshly accumulated
   // density batch here, exactly where a real kernel upset would land.
@@ -75,7 +104,8 @@ double run_cpscf(const scf::ScfResult& ground, const CpscfSetup& setup,
   };
 
   // The response potential is derived state, so a checkpoint only has to
-  // carry P^(1): a resume recomputes Sumup and Rho from it.
+  // carry P^(1) and the Pulay history: a resume recomputes Sumup and Rho
+  // from P^(1).
   int start_iteration = 0;
   if (options.warm_start) {
     const auto& ws = *options.warm_start;
@@ -83,7 +113,13 @@ double run_cpscf(const scf::ScfResult& ground, const CpscfSetup& setup,
                "CPSCF: warm start P^(1) has wrong dimensions");
     AEQP_CHECK(ws.iteration >= 1 && ws.iteration < options.max_iterations,
                "CPSCF: warm start iteration outside (0, max_iterations)");
+    for (const auto& [x, e] : ws.pulay_history)
+      AEQP_CHECK(x.rows() == nb && x.cols() == nb && e.rows() == nb &&
+                     e.cols() == nb,
+                 "CPSCF: warm start Pulay history has wrong dimensions");
     p1 = ws.p1;
+    pulay.import_pairs(ws.pulay_history);
+    pulay_mem.add(static_cast<std::int64_t>(pulay.bytes()));
     have_response = true;
     start_iteration = ws.iteration;
     sumup();
@@ -170,10 +206,16 @@ double run_cpscf(const scf::ScfResult& ground, const CpscfSetup& setup,
         }
       }
     });
-    // Linear mixing stabilizes the CPSCF cycle.
+    // Pulay mixing: P^(1) is the fixed point of an affine map, so the next
+    // input extrapolates over the (P_in, R = P_out - P_in) history. Every
+    // rank holds the same replicated P^(1) and history, so every rank
+    // extrapolates identically without a collective.
     if (have_response) {
-      p1_new.scale(options.mixing);
-      p1_new.axpy(1.0 - options.mixing, p1);
+      Matrix r = std::move(p1_new);
+      r.axpy(-1.0, p1);
+      pulay.push(p1, std::move(r));
+      p1_new = pulay_next(pulay, options.mixing);
+      pulay_mem.add(static_cast<std::int64_t>(pulay.bytes()) - pulay_mem.held());
     }
     const double delta = p1_new.max_abs_diff(p1);
     p1 = std::move(p1_new);
@@ -187,8 +229,15 @@ double run_cpscf(const scf::ScfResult& ground, const CpscfSetup& setup,
     t[Phase::DM] += timer.seconds();
 
     res.iterations = iter;
+    // Convergence telemetry counts once per solve: on the caller's thread
+    // or on rank 0 of a simulated world, never once per rank.
+    if (obs::enabled() && thread_rank() <= 0) {
+      static obs::Counter& iterations = obs::counter("cpscf/iterations");
+      iterations.increment();
+    }
     if (kernels.observe) {
-      const CpscfIterationState state{direction, iter, delta, options.mixing, &p1};
+      const CpscfIterationState state{direction, iter, delta,
+                                      options.mixing, &p1, &pulay};
       if (kernels.observe(state) == CpscfAction::Abort) {
         res.aborted = true;
         break;

@@ -8,8 +8,9 @@
 /// tolerance. Only the grid phases differ between platforms, so they are
 /// the pluggable part (CpscfKernels); run_cpscf owns everything else:
 /// warm start, H^(1) assembly and its Hermiticity guard, the omega-general
-/// Sternheimer step with ABFT, the thread-parallel DM build with mixing
-/// and P^(1) guards, the Sumup finiteness guard with its one local
+/// Sternheimer step with ABFT, the thread-parallel DM build with Pulay
+/// mixing (scf::PulayHistory, shared with the SCF DIIS) and P^(1) guards,
+/// the Sumup finiteness guard with its one local
 /// recompute, the v^(1) guard, spans, phase timers and the convergence
 /// test. Providers:
 ///  - host    (DfptSolver): BatchIntegrator density / potential_matrix and

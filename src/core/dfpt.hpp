@@ -31,6 +31,7 @@
 #include "grid/batch.hpp"
 #include "kernels/batch_kernels.hpp"
 #include "linalg/matrix.hpp"
+#include "scf/diis.hpp"
 #include "scf/scf_solver.hpp"
 #include "simt/runtime.hpp"
 
@@ -39,6 +40,9 @@ namespace aeqp::core {
 namespace detail {
 struct CpscfSetup;
 }
+
+/// Pulay history length of the CPSCF mixer: (P^(1)_in, R) pairs kept.
+inline constexpr std::size_t kCpscfPulayHistory = 4;
 
 /// Names of the timed DFPT phases, matching the paper's Fig. 14 legend.
 enum class Phase { DM, Sumup, Rho, H, Sternheimer };
@@ -55,8 +59,12 @@ struct CpscfIterationState {
   int direction = 0;
   int iteration = 0;
   double delta = 0.0;   ///< max |Delta P^(1)| of this iteration
-  double mixing = 0.0;  ///< mixing factor in effect
+  double mixing = 0.0;  ///< Pulay step damping beta in effect
   const linalg::Matrix* p1 = nullptr;  ///< response density matrix
+  /// The mixer's (P^(1)_in, R) history after this iteration's update; a
+  /// checkpoint carries it so a resume extrapolates exactly as the
+  /// uninterrupted run would.
+  const scf::PulayHistory* pulay = nullptr;
 };
 
 /// What the observer wants the cycle to do next. Abort ends the cycle
@@ -70,20 +78,26 @@ enum class CpscfAction { Continue, Abort };
 /// effects happen exactly once.
 using CpscfObserver = std::function<CpscfAction(const CpscfIterationState&)>;
 
-/// Resume point for a CPSCF cycle: the response density matrix after
-/// `iteration` completed iterations. The response potential is recomputed
-/// from P^(1) on resume, which reproduces the uninterrupted trajectory
-/// bit-for-bit.
+/// Resume point for a CPSCF cycle: the response density matrix and the
+/// Pulay history after `iteration` completed iterations. The response
+/// potential is recomputed from P^(1) on resume, which reproduces the
+/// uninterrupted trajectory bit-for-bit.
 struct CpscfWarmStart {
   int iteration = 0;
   linalg::Matrix p1;
+  /// (P^(1)_in, R) pairs, oldest first (scf::PulayHistory::export_pairs).
+  scf::PulayPairs pulay_history;
 };
 
 /// DFPT configuration.
 struct DfptOptions {
   int max_iterations = 40;
   double tolerance = 1e-6;     ///< max |Delta P^(1)| convergence threshold
-  double mixing = 0.5;         ///< linear mixing of P^(1) between cycles
+  /// Pulay step damping beta: the next P^(1) input is
+  /// sum_i c_i (P^(1)_in,i + beta R_i) over the last kCpscfPulayHistory
+  /// pairs (R = P^(1)_out - P^(1)_in), so a one-pair history is the linear
+  /// mix P_in + beta R.
+  double mixing = 0.5;
   /// Perturbation frequency omega in hartree (0 = static response). The
   /// dynamic Sternheimer amplitudes X_ai = H1_ai/(eps_i - eps_a + omega)
   /// and Y_ai = H1_ai/(eps_i - eps_a - omega) yield the frequency-dependent

@@ -219,10 +219,12 @@ void FaultInjector::on_collective(std::size_t rank, std::size_t original_rank,
     const auto until =
         steady_clock::now() + duration_cast<steady_clock::duration>(
                                   duration<double, std::milli>(delay_ms));
-    while (steady_clock::now() < until && !(cancelled && cancelled()))
-      std::this_thread::sleep_for(milliseconds(
-          std::min<long long>(10, duration_cast<milliseconds>(
-                                      until - steady_clock::now()).count() + 1)));
+    // Each slice is min(10 ms, remaining): a sub-millisecond delay sleeps
+    // its exact length instead of a whole millisecond.
+    for (auto now = steady_clock::now();
+         now < until && !(cancelled && cancelled()); now = steady_clock::now())
+      std::this_thread::sleep_for(
+          std::min<steady_clock::duration>(milliseconds(10), until - now));
   }
   if (kill) {
     std::string msg = "fault injection: rank " + std::to_string(rank);

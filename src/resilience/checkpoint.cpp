@@ -29,10 +29,6 @@ public:
   void put_u64(std::uint64_t v) { put_raw(&v, sizeof(v)); }
   void put_i32(std::int32_t v) { put_raw(&v, sizeof(v)); }
   void put_f64(double v) { put_raw(&v, sizeof(v)); }
-  void put_doubles(const double* p, std::size_t n) {
-    put_u64(n);
-    put_raw(p, n * sizeof(double));
-  }
   void put_matrix(const linalg::Matrix& m) {
     put_u64(m.rows());
     put_u64(m.cols());
@@ -56,15 +52,13 @@ public:
   std::uint64_t get_u64() { return get<std::uint64_t>(); }
   std::int32_t get_i32() { return get<std::int32_t>(); }
   double get_f64() { return get<double>(); }
-  std::vector<double> get_doubles() {
-    const std::uint64_t n = get_u64();
-    std::vector<double> v(n);
-    get_raw(v.data(), n * sizeof(double));
-    return v;
-  }
   linalg::Matrix get_matrix() {
     const std::uint64_t rows = get_u64();
     const std::uint64_t cols = get_u64();
+    // Size the matrix only once the payload is known to hold it: a damaged
+    // dimension fails as truncation, not as a huge allocation.
+    AEQP_CHECK(cols == 0 || rows <= (data_.size() - pos_) / sizeof(double) / cols,
+               context_ + ": checkpoint payload truncated");
     linalg::Matrix m(rows, cols);
     get_raw(m.data(), rows * cols * sizeof(double));
     return m;
@@ -185,6 +179,28 @@ std::vector<unsigned char> read_file_validated(const std::filesystem::path& path
   return validate_frame(bytes, expected_kind, path.string());
 }
 
+using MatrixPairs = std::vector<std::pair<linalg::Matrix, linalg::Matrix>>;
+
+/// Mixer history (SCF DIIS or CPSCF Pulay): count, then the pairs in order.
+void put_pairs(ByteWriter& w, const MatrixPairs& pairs) {
+  w.put_u64(pairs.size());
+  for (const auto& [x, e] : pairs) {
+    w.put_matrix(x);
+    w.put_matrix(e);
+  }
+}
+
+MatrixPairs get_pairs(ByteReader& r) {
+  const std::uint64_t n = r.get_u64();
+  MatrixPairs pairs;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    linalg::Matrix x = r.get_matrix();
+    linalg::Matrix e = r.get_matrix();
+    pairs.emplace_back(std::move(x), std::move(e));
+  }
+  return pairs;
+}
+
 std::vector<unsigned char> encode(const CpscfCheckpoint& ckpt) {
   ByteWriter w;
   w.put_i32(ckpt.direction);
@@ -192,6 +208,7 @@ std::vector<unsigned char> encode(const CpscfCheckpoint& ckpt) {
   w.put_f64(ckpt.mixing);
   w.put_f64(ckpt.last_delta);
   w.put_matrix(ckpt.p1);
+  put_pairs(w, ckpt.pulay_history);
   return w.bytes();
 }
 
@@ -200,11 +217,7 @@ std::vector<unsigned char> encode(const ScfCheckpoint& ckpt) {
   w.put_i32(ckpt.iteration);
   w.put_f64(ckpt.last_delta);
   w.put_matrix(ckpt.density_matrix);
-  w.put_u64(ckpt.diis_history.size());
-  for (const auto& [h, e] : ckpt.diis_history) {
-    w.put_matrix(h);
-    w.put_matrix(e);
-  }
+  put_pairs(w, ckpt.diis_history);
   return w.bytes();
 }
 
@@ -217,6 +230,7 @@ CpscfCheckpoint decode_cpscf(std::span<const unsigned char> payload,
   ckpt.mixing = r.get_f64();
   ckpt.last_delta = r.get_f64();
   ckpt.p1 = r.get_matrix();
+  ckpt.pulay_history = get_pairs(r);
   AEQP_CHECK(r.exhausted(), "CheckpointStore: trailing bytes in " + context);
   return ckpt;
 }
@@ -228,13 +242,7 @@ ScfCheckpoint decode_scf(std::span<const unsigned char> payload,
   ckpt.iteration = r.get_i32();
   ckpt.last_delta = r.get_f64();
   ckpt.density_matrix = r.get_matrix();
-  const std::uint64_t n = r.get_u64();
-  ckpt.diis_history.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    linalg::Matrix h = r.get_matrix();
-    linalg::Matrix e = r.get_matrix();
-    ckpt.diis_history.emplace_back(std::move(h), std::move(e));
-  }
+  ckpt.diis_history = get_pairs(r);
   AEQP_CHECK(r.exhausted(), "CheckpointStore: trailing bytes in " + context);
   return ckpt;
 }
@@ -254,9 +262,12 @@ std::filesystem::path CheckpointStore::path_of(const std::string& key) const {
 
 std::vector<unsigned char> serialize(const CpscfCheckpoint& ckpt) {
   // Governor probe before the frame is materialized: the payload is
-  // dominated by P^(1), so the estimate is sharp to within the header.
+  // dominated by P^(1) and the Pulay history, so the estimate is sharp to
+  // within the headers.
+  std::size_t matrices = ckpt.p1.bytes();
+  for (const auto& [x, e] : ckpt.pulay_history) matrices += x.bytes() + e.bytes();
   oom_probe("resilience/checkpoint_frame",
-            ckpt.p1.rows() * ckpt.p1.cols() * sizeof(double) + 64);
+            matrices + 64 + 32 * ckpt.pulay_history.size());
   auto blob = frame(kKindCpscf, encode(ckpt));
   // Frames are transient (handed to the buddy ring or a writer and then
   // dropped), so only the high-water mark is meaningful.

@@ -44,17 +44,21 @@ namespace aeqp::resilience {
 using ::aeqp::crc32;
 
 /// Current checkpoint format version; bumped on any layout change.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+/// Version 2: CpscfCheckpoint carries the Pulay history.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /// State of one CPSCF (DFPT) direction at the end of an iteration. The
-/// response potential is a pure function of P^(1), so checkpointing the
-/// response density matrix plus counters is enough to resume bit-identically.
+/// response potential is a pure function of P^(1), so the response density
+/// matrix, the Pulay mixer's history and the counters are enough to resume
+/// bit-identically.
 struct CpscfCheckpoint {
   int direction = 0;
   int iteration = 0;       ///< CPSCF iterations completed
-  double mixing = 0.0;     ///< mixing factor in effect when saved
+  double mixing = 0.0;     ///< Pulay step damping in effect when saved
   double last_delta = 0.0; ///< max |Delta P^(1)| of the saved iteration
   linalg::Matrix p1;       ///< response density matrix
+  /// (P^(1)_in, R) pairs of the Pulay mixer, oldest first.
+  std::vector<std::pair<linalg::Matrix, linalg::Matrix>> pulay_history;
 };
 
 /// State of one SCF run at the end of an iteration: density matrix plus the

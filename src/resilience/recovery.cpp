@@ -37,6 +37,28 @@ struct AttemptContext {
   std::string fault_reason;
 };
 
+/// The checkpoint of an observed CPSCF iteration: P^(1), the Pulay history
+/// and the counters a resume needs.
+CpscfCheckpoint checkpoint_of(const core::CpscfIterationState& s) {
+  CpscfCheckpoint ckpt;
+  ckpt.direction = s.direction;
+  ckpt.iteration = s.iteration;
+  ckpt.mixing = s.mixing;
+  ckpt.last_delta = s.delta;
+  ckpt.p1 = *s.p1;
+  if (s.pulay != nullptr) ckpt.pulay_history = s.pulay->export_pairs();
+  return ckpt;
+}
+
+/// The warm start resuming after `ckpt`'s iteration.
+std::shared_ptr<core::CpscfWarmStart> warm_start_of(CpscfCheckpoint&& ckpt) {
+  auto ws = std::make_shared<core::CpscfWarmStart>();
+  ws->iteration = ckpt.iteration;
+  ws->p1 = std::move(ckpt.p1);
+  ws->pulay_history = std::move(ckpt.pulay_history);
+  return ws;
+}
+
 /// Ascending-id subset test for degraded-rank sets (both sorted).
 bool degraded_subset_of(const std::vector<std::size_t>& degraded,
                         const std::vector<std::size_t>& known) {
@@ -131,10 +153,7 @@ auto run_recovered(CheckpointStore& store, const RecoveryOptions& ropt,
           ckpt->iteration < opts.max_iterations) {
         ctx.checkpoint_iteration = ckpt->iteration;
         ctx.prev_delta = ckpt->last_delta;
-        auto ws = std::make_shared<core::CpscfWarmStart>();
-        ws->iteration = ckpt->iteration;
-        ws->p1 = std::move(ckpt->p1);
-        opts.warm_start = std::move(ws);
+        opts.warm_start = warm_start_of(std::move(*ckpt));
         ++stats.restores;
         obs::trace_instant("recovery/rollback");
       }
@@ -165,13 +184,7 @@ auto run_recovered(CheckpointStore& store, const RecoveryOptions& ropt,
         if (relieve_pressure() > 0) ++stats.relief_actions;
       }
       if (s.iteration % ropt.checkpoint_every == 0) {
-        CpscfCheckpoint ckpt;
-        ckpt.direction = s.direction;
-        ckpt.iteration = s.iteration;
-        ckpt.mixing = s.mixing;
-        ckpt.last_delta = s.delta;
-        ckpt.p1 = *s.p1;
-        store.save(key, ckpt);
+        store.save(key, checkpoint_of(s));
         ctx.checkpoint_iteration = s.iteration;
       }
       return core::CpscfAction::Continue;
@@ -376,10 +389,7 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
           ckpt->iteration < popts.dfpt.max_iterations) {
         ctx.checkpoint_iteration = ckpt->iteration;
         ctx.prev_delta = ckpt->last_delta;
-        auto ws = std::make_shared<core::CpscfWarmStart>();
-        ws->iteration = ckpt->iteration;
-        ws->p1 = std::move(ckpt->p1);
-        popts.dfpt.warm_start = std::move(ws);
+        popts.dfpt.warm_start = warm_start_of(std::move(*ckpt));
         ++stats.restores;
         obs::trace_instant("recovery/rollback");
       }
@@ -408,21 +418,9 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
         obs::trace_instant("membudget/soft_watermark");
         if (relieve_pressure() > 0) ++stats.relief_actions;
       }
-      if (s.iteration % ropt.checkpoint_every == 0) {
-        CpscfCheckpoint ckpt;
-        ckpt.direction = s.direction;
-        ckpt.iteration = s.iteration;
-        ckpt.mixing = s.mixing;
-        ckpt.last_delta = s.delta;
-        ckpt.p1 = *s.p1;
-        store.save(key, ckpt);
-        ctx.checkpoint_iteration = s.iteration;
-      }
       // Straggler rung trigger: close the work window and reclassify.
-      // Placed AFTER the checkpoint save so the rebalance re-entry
-      // warm-starts at this very iteration -- a rebalance wastes zero
-      // iterations. Only a NEW degraded rank aborts; a set the rung has
-      // already rebalanced around (or a subset -- someone recovered) keeps
+      // Only a NEW degraded rank aborts; a set the rung has already
+      // rebalanced around (or a subset -- someone recovered) keeps
       // converging under the current weights.
       if (straggler != nullptr) {
         straggler->classify();
@@ -437,11 +435,18 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
                                " classified degraded at iteration " +
                                std::to_string(s.iteration) +
                                "; rebalancing before any shrink";
-            return core::CpscfAction::Abort;
           }
         }
       }
-      return core::CpscfAction::Continue;
+      // The aborting iteration is saved off the cadence too, so the
+      // rebalance re-entry warm-starts at this very iteration -- a
+      // rebalance wastes zero iterations.
+      if (ctx.straggler || s.iteration % ropt.checkpoint_every == 0) {
+        store.save(key, checkpoint_of(s));
+        ctx.checkpoint_iteration = s.iteration;
+      }
+      return ctx.straggler ? core::CpscfAction::Abort
+                           : core::CpscfAction::Continue;
     };
     // Buddy replication rides the per-iteration hook: the hook runs after
     // the observer's abort broadcast, so only health-validated iterations
@@ -449,13 +454,7 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
     popts.rank_hook = [&](parallel::Communicator& comm,
                           const core::CpscfIterationState& s) {
       if (s.iteration % ropt.checkpoint_every != 0) return;
-      CpscfCheckpoint ckpt;
-      ckpt.direction = s.direction;
-      ckpt.iteration = s.iteration;
-      ckpt.mixing = s.mixing;
-      ckpt.last_delta = s.delta;
-      ckpt.p1 = *s.p1;
-      buddy.replicate(comm, serialize(ckpt));
+      buddy.replicate(comm, serialize(checkpoint_of(s)));
     };
 
     try {
@@ -589,7 +588,7 @@ core::ParallelDfptResult run_elastic(CheckpointStore& store,
     //     alive rank keeps its place in the world; the next attempt re-homes
     //     grid batches around the measured speed weights
     //     (mapping::rebalance_for_slow_ranks), so the run completes at full
-    //     world size with bit-identical results. The timeout backstop
+    //     world size with results equal to rounding. The timeout backstop
     //     reclassifies here because an extreme slowdown may have surfaced
     //     as CollectiveTimeout between iteration boundaries. ---
     if (straggler != nullptr && (ctx.straggler || timeout_fault)) {

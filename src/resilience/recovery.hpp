@@ -31,7 +31,7 @@
 /// an adaptive collective deadline) keeps its place in the world, and the
 /// grid batches are re-homed around its measured speed with
 /// mapping::rebalance_for_slow_ranks -- full world size, no renumbering,
-/// bit-identical results. Only a rank that actually FAILS repeatedly is
+/// results equal to rounding. Only a rank that actually FAILS repeatedly is
 /// shrunk away.
 ///
 /// A rank is classified permanent when the same original rank fails on

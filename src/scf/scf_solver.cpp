@@ -7,6 +7,7 @@
 #include "common/log.hpp"
 #include "exec/thread_pool.hpp"
 #include "linalg/eigen.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resilience/guards.hpp"
 #include "scf/diis.hpp"
@@ -151,6 +152,10 @@ ScfResult ScfSolver::run() const {
 
   for (iter = start_iteration + 1; iter <= options_.max_iterations; ++iter) {
     AEQP_TRACE_SCOPE("scf/iteration");
+    if (obs::enabled()) {
+      static obs::Counter& iterations = obs::counter("scf/iterations");
+      iterations.increment();
+    }
     obs::PhaseSpan phase_span;
     // Hartree potential of the current density (multipole Poisson solve).
     phase_span.begin("scf/hartree");

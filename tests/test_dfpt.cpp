@@ -5,12 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "core/dfpt.hpp"
 #include "core/structures.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "exec/thread_pool.hpp"
+#include "resilience/checkpoint.hpp"
 #include "scf/scf_solver.hpp"
 
 namespace {
@@ -148,6 +156,171 @@ TEST(Dfpt, PhaseNamesMatchPaperFigure) {
   EXPECT_EQ(phase_name(Phase::Sumup), "Sumup");
   EXPECT_EQ(phase_name(Phase::Rho), "Rho");
   EXPECT_EQ(phase_name(Phase::H), "H");
+}
+
+// ---------------------------------------------------------------------------
+// Pulay-mixed CPSCF
+
+const scf::ScfResult& ground_of(const char* name) {
+  static const scf::ScfResult h2_ground =
+      scf::ScfSolver(h2(), fast_options()).run();
+  static const scf::ScfResult water_ground =
+      scf::ScfSolver(water(), fast_options()).run();
+  return std::string(name) == "h2" ? h2_ground : water_ground;
+}
+
+double max_abs_alpha(const DfptResult& r) {
+  double m = 0.0;
+  for (int i = 0; i < 3; ++i)
+    for (int j = 0; j < 3; ++j) m = std::max(m, std::fabs(r.polarizability(i, j)));
+  return m;
+}
+
+// Linear P^(1) mixing, one step per solve: a warm start with an empty Pulay
+// history runs one iteration whose one-pair history is the linear mix
+// P_in + beta R. Returns the iterations linear mixing needs to converge.
+int linear_mixing_iterations(const scf::ScfResult& ground, int direction) {
+  DfptOptions first;
+  first.max_iterations = 1;
+  DfptDirectionResult r = DfptSolver(ground, first).solve_direction(direction);
+  while (!r.converged) {
+    EXPECT_LT(r.iterations, 200) << "linear mixing did not converge";
+    if (r.iterations >= 200) break;
+    auto ws = std::make_shared<CpscfWarmStart>();
+    ws->iteration = r.iterations;
+    ws->p1 = r.p1;
+    DfptOptions step;
+    step.max_iterations = r.iterations + 1;
+    step.warm_start = ws;
+    r = DfptSolver(ground, step).solve_direction(direction);
+  }
+  return r.iterations;
+}
+
+class PulayCpscfAlpha : public ::testing::TestWithParam<const char*> {};
+
+// Pulay at the default tolerance lands within 1e-7 max|alpha| of a
+// tolerance-1e-10 reference, in fewer iterations than linear mixing needs.
+TEST_P(PulayCpscfAlpha, AlphaMatchesTightReferenceInFewerIterations) {
+  const scf::ScfResult& ground = ground_of(GetParam());
+  ASSERT_TRUE(ground.converged);
+  DfptOptions tight;
+  tight.tolerance = 1e-10;
+  const DfptResult ref = DfptSolver(ground, tight).solve_all();
+  const DfptResult res = DfptSolver(ground, {}).solve_all();
+  const double scale = max_abs_alpha(ref);
+  for (int j = 0; j < 3; ++j) {
+    const auto& dir = res.directions[static_cast<std::size_t>(j)];
+    ASSERT_TRUE(dir.converged) << "direction " << j;
+    for (int i = 0; i < 3; ++i)
+      EXPECT_LE(std::fabs(res.polarizability(i, j) - ref.polarizability(i, j)),
+                1e-7 * scale)
+          << "alpha_" << i << j;
+    EXPECT_LT(dir.iterations, linear_mixing_iterations(ground, j))
+        << "direction " << j;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Molecules, PulayCpscfAlpha, ::testing::Values("h2", "water"));
+
+// The B-matrix dots run in a fixed serial order and the DM build keeps its
+// per-element order, so the thread count never changes a bit.
+TEST(PulayCpscf, OneAndFourThreadsAreBitIdentical) {
+  const scf::ScfResult& ground = ground_of("water");
+  ASSERT_TRUE(ground.converged);
+  exec::ThreadPool::set_global_threads(1);
+  const DfptDirectionResult one = DfptSolver(ground, {}).solve_direction(2);
+  exec::ThreadPool::set_global_threads(4);
+  const DfptDirectionResult four = DfptSolver(ground, {}).solve_direction(2);
+  exec::ThreadPool::set_global_threads(0);
+  EXPECT_EQ(one.iterations, four.iterations);
+  EXPECT_EQ(one.p1.max_abs_diff(four.p1), 0.0);
+  for (int axis = 0; axis < 3; ++axis)
+    EXPECT_EQ(one.dipole_response[axis], four.dipole_response[axis]);
+}
+
+// Cut the water z cycle after iteration 6 (the history is full and has
+// evicted), checkpoint P^(1) and the Pulay history through the framed wire
+// format, resume: the trajectory is the uninterrupted one, bit for bit.
+std::vector<unsigned char> water_checkpoint_blob(int cut_iteration) {
+  const scf::ScfResult& ground = ground_of("water");
+  std::vector<unsigned char> blob;
+  DfptOptions interrupted;
+  interrupted.observer = [&](const CpscfIterationState& s) {
+    if (s.iteration < cut_iteration) return CpscfAction::Continue;
+    resilience::CpscfCheckpoint ckpt;
+    ckpt.direction = s.direction;
+    ckpt.iteration = s.iteration;
+    ckpt.mixing = s.mixing;
+    ckpt.last_delta = s.delta;
+    ckpt.p1 = *s.p1;
+    ckpt.pulay_history = s.pulay->export_pairs();
+    blob = resilience::serialize(ckpt);
+    return CpscfAction::Abort;
+  };
+  const auto cut = DfptSolver(ground, interrupted).solve_direction(2);
+  EXPECT_TRUE(cut.aborted);
+  return blob;
+}
+
+TEST(PulayCpscf, WarmStartThroughSerializedHistoryIsBitIdentical) {
+  const scf::ScfResult& ground = ground_of("water");
+  ASSERT_TRUE(ground.converged);
+  const DfptDirectionResult ref = DfptSolver(ground, {}).solve_direction(2);
+  ASSERT_TRUE(ref.converged);
+  ASSERT_GT(ref.iterations, 7);
+
+  const auto ckpt = resilience::deserialize_cpscf(water_checkpoint_blob(6));
+  EXPECT_EQ(ckpt.pulay_history.size(), kCpscfPulayHistory);
+  auto ws = std::make_shared<CpscfWarmStart>();
+  ws->iteration = ckpt.iteration;
+  ws->p1 = ckpt.p1;
+  ws->pulay_history = ckpt.pulay_history;
+  DfptOptions resumed;
+  resumed.warm_start = ws;
+  const DfptDirectionResult res = DfptSolver(ground, resumed).solve_direction(2);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.iterations, ref.iterations);
+  EXPECT_EQ(res.p1.max_abs_diff(ref.p1), 0.0);
+  for (int axis = 0; axis < 3; ++axis)
+    EXPECT_EQ(res.dipole_response[axis], ref.dipole_response[axis]);
+}
+
+TEST(PulayCpscf, DamagedHistoryBlobIsRejected) {
+  const std::vector<unsigned char> blob = water_checkpoint_blob(6);
+  ASSERT_FALSE(blob.empty());
+  ASSERT_EQ(resilience::deserialize_cpscf(blob).pulay_history.size(),
+            kCpscfPulayHistory);
+
+  // Truncated: the last history matrix loses its tail.
+  const std::vector<unsigned char> cut(blob.begin(), blob.end() - 64);
+  EXPECT_THROW((void)resilience::deserialize_cpscf(cut), Error);
+
+  // CRC-damaged: one flipped bit inside the last history residual.
+  std::vector<unsigned char> flipped = blob;
+  flipped[flipped.size() - 4 - 100] ^= 0x10;
+  EXPECT_THROW((void)resilience::deserialize_cpscf(flipped), Error);
+
+  // Re-framed with a valid length and CRC, but the payload stops inside
+  // the history: the decoder still refuses it.
+  constexpr std::size_t kHeader = 3 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  const std::vector<unsigned char> payload(blob.begin() + kHeader,
+                                           blob.end() - 4 - 64);
+  std::vector<unsigned char> reframed(blob.begin(), blob.begin() + 12);
+  const std::uint64_t size = payload.size();
+  const auto* size_bytes = reinterpret_cast<const unsigned char*>(&size);
+  reframed.insert(reframed.end(), size_bytes, size_bytes + sizeof(size));
+  reframed.insert(reframed.end(), payload.begin(), payload.end());
+  const std::uint32_t crc = crc32(payload);
+  const auto* crc_bytes = reinterpret_cast<const unsigned char*>(&crc);
+  reframed.insert(reframed.end(), crc_bytes, crc_bytes + sizeof(crc));
+  try {
+    (void)resilience::deserialize_cpscf(reframed);
+    FAIL() << "a history cut short was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Structures, WaterGeometry) {

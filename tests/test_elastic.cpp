@@ -497,7 +497,9 @@ TEST(ElasticRecovery, NonElasticDriverSurfacesStructuredRankFailure) {
   parallel::FaultEvent ev;
   ev.kind = parallel::FaultKind::Kill;
   ev.rank = 0;
-  ev.collective = 40;
+  // Mid-run, after checkpoints exist: the Rho reduce of iteration 3 of the
+  // fixture's 6 (collective 3k-2 under a non-elastic driver).
+  ev.collective = 7;
   ev.transient = false;
   plan.add(ev);
   parallel::FaultInjector injector(std::move(plan));

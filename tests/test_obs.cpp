@@ -18,6 +18,7 @@
 #include "common/log.hpp"
 #include "common/thread_ident.hpp"
 #include "core/dfpt.hpp"
+#include "core/parallel_dfpt.hpp"
 #include "core/structures.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/memaudit.hpp"
@@ -350,6 +351,44 @@ TEST_F(ObsTest, TracedScfIsBitIdenticalToUntraced) {
   EXPECT_TRUE(has("poisson/solve"));
 }
 
+double counter_value(const std::string& name) {
+  for (const auto& m : obs::metrics_snapshot())
+    if (m.name == name) return m.value;
+  return 0.0;
+}
+
+// Convergence telemetry: one count per SCF/CPSCF iteration, once per solve
+// (a distributed solve counts on rank 0 only), and nothing at all with
+// tracing off.
+TEST_F(ObsTest, ConvergenceCountersCountEachIterationOnce) {
+  core::ParallelDfptOptions popt;
+  popt.ranks = 2;
+  popt.ranks_per_node = 2;
+
+  obs::set_mode(obs::TraceMode::Off);
+  const scf::ScfResult ground_off = run_small_scf();
+  ASSERT_TRUE(ground_off.converged);
+  (void)core::DfptSolver(ground_off, {}).solve_direction(2);
+  (void)core::solve_direction_parallel(ground_off, popt, 2);
+  EXPECT_EQ(counter_value("scf/iterations"), 0.0);
+  EXPECT_EQ(counter_value("cpscf/iterations"), 0.0);
+  EXPECT_EQ(counter_value("cpscf/pulay_resets"), 0.0);
+
+  obs::set_mode(obs::TraceMode::Summary);
+  const scf::ScfResult ground = run_small_scf();
+  ASSERT_TRUE(ground.converged);
+  EXPECT_EQ(counter_value("scf/iterations"), ground.iterations);
+  const auto serial = core::DfptSolver(ground, {}).solve_direction(2);
+  ASSERT_TRUE(serial.converged);
+  EXPECT_EQ(counter_value("cpscf/iterations"), serial.iterations);
+  const auto par = core::solve_direction_parallel(ground, popt, 2);
+  ASSERT_TRUE(par.direction.converged);
+  EXPECT_EQ(counter_value("cpscf/iterations"),
+            serial.iterations + par.direction.iterations);
+  EXPECT_LE(counter_value("cpscf/pulay_resets"),
+            counter_value("cpscf/iterations"));
+}
+
 // ---------------------------------------------------------------------------
 // Memory audit (obs/memaudit.hpp): observe-only contract and gauge
 // semantics. Deeper comm-matrix / flight-recorder coverage lives in
@@ -400,6 +439,21 @@ TEST_F(ObsTest, MemauditScfCpscfBitIdentical) {
   }
   EXPECT_GT(spline_bytes, 0.0);
   EXPECT_GT(table_bytes, 0.0);
+
+  // The Pulay history peaks at its full (P_in, R) pairs and is released
+  // when the solve returns.
+  const std::size_t nb = dfpt_on.p1.rows();
+  bool pulay_gauge = false;
+  for (const auto& g : obs::mem_snapshot())
+    if (g.name == "cpscf/pulay_history") {
+      pulay_gauge = true;
+      EXPECT_EQ(g.current_bytes, 0);
+      EXPECT_GT(g.peak_bytes, 0);
+      EXPECT_LE(g.peak_bytes, static_cast<std::int64_t>(
+                                  2 * core::kCpscfPulayHistory * nb * nb *
+                                  sizeof(double)));
+    }
+  EXPECT_TRUE(pulay_gauge);
 }
 
 TEST_F(ObsTest, MemGaugePeakUnderThreadPool) {

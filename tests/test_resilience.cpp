@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -109,6 +110,29 @@ TEST(Checkpoint, ScfRoundTripRestoresDiisHistory) {
               0.0);
     EXPECT_EQ(out.diis_history[i].second.max_abs_diff(in.diis_history[i].second),
               0.0);
+  }
+}
+
+// A frame whose CRC is valid but whose matrix dimensions exceed the payload
+// is refused as truncated before anything is sized from them.
+TEST(Checkpoint, OversizedMatrixDimensionsAreRejectedBeforeAllocation) {
+  CpscfCheckpoint in;
+  in.p1 = test_matrix(4, 4, 1.0);
+  std::vector<unsigned char> blob = serialize(in);
+  constexpr std::size_t kHeader = 3 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  constexpr std::size_t kRowsAt = kHeader + 2 * sizeof(std::int32_t) + 2 * sizeof(double);
+  const std::uint64_t rows = std::uint64_t{1} << 40;
+  std::memcpy(blob.data() + kRowsAt, &rows, sizeof(rows));
+  constexpr std::size_t kCrc = sizeof(std::uint32_t);
+  const std::uint32_t crc =
+      crc32(std::span(blob.data() + kHeader, blob.size() - kHeader - kCrc));
+  std::memcpy(blob.data() + blob.size() - kCrc, &crc, kCrc);
+  try {
+    (void)deserialize_cpscf(blob);
+    FAIL() << "oversized dimensions were accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -399,6 +423,7 @@ TEST(DfptResilience, SerialWarmStartIsBitIdentical) {
     if (s.iteration == 3) {
       ws->iteration = s.iteration;
       ws->p1 = *s.p1;
+      ws->pulay_history = s.pulay->export_pairs();
       return core::CpscfAction::Abort;
     }
     return core::CpscfAction::Continue;

@@ -328,6 +328,30 @@ TEST(SlowdownFault, PersistentRefiresAndTransientHonoursRepeat) {
   EXPECT_GE(timer.seconds(), 0.015);
 }
 
+// The injected delay is slept for its exact length: each slice is
+// min(10 ms, remaining), so a sub-millisecond delay is not rounded up to a
+// whole millisecond.
+TEST(SlowdownFault, SubMillisecondDelayIsNotRoundedUp) {
+  parallel::FaultEvent ev;
+  ev.kind = parallel::FaultKind::Slowdown;
+  ev.rank = 0;
+  ev.slow_factor = 2.0;
+  ev.transient = false;
+  parallel::FaultInjector injector(parallel::FaultPlan().add(ev));
+  constexpr std::size_t kCollectives = 40;
+  const Timer timer;
+  for (std::size_t seq = 0; seq < kCollectives; ++seq)
+    injector.on_collective(/*rank=*/0, /*original_rank=*/0, seq, "barrier",
+                           {}, [] { return false; }, /*work_ms=*/0.05);
+  const double elapsed = timer.seconds();
+  EXPECT_EQ(injector.stats().slowdowns, kCollectives);
+  EXPECT_NEAR(injector.stats().slowdown_ms, 0.05 * kCollectives, 1e-9);
+  // 40 delays of 0.05 ms: 2 ms of injected sleep plus scheduling noise.
+  // Rounding each slice up to 1 ms would take at least 40 ms.
+  EXPECT_GE(elapsed, 0.002);
+  EXPECT_LT(elapsed, 0.020);
+}
+
 TEST(SlowdownFault, RandomPlanDrawsDistinctRanksDisjointFromKills) {
   const auto plan = parallel::FaultPlan::random(
       /*seed=*/42, /*n_events=*/2, /*n_ranks=*/6, /*first_collective=*/5,
@@ -578,6 +602,24 @@ const scf::ScfResult& straggler_ground() {
   return res;
 }
 
+// A 4-atom hydrogen chain on the same grid. H2 converges in 6 Pulay
+// iterations, before the default detector (10 ms window floor) can close
+// two windows; the chain runs 12, and the rung classifies the slow rank
+// about 40% into the run.
+const scf::ScfResult& straggler_chain_ground() {
+  static const scf::ScfResult res = [] {
+    grid::Structure s;
+    for (int a = 0; a < 4; ++a) s.add_atom(1, {0, 0, -2.1 + 1.4 * a});
+    scf::ScfOptions opt;
+    opt.tier = basis::BasisTier::Light;
+    opt.grid.radial_points = 30;
+    opt.grid.angular_degree = 9;
+    opt.poisson.radial_points = 72;
+    return scf::ScfSolver(s, opt).run();
+  }();
+  return res;
+}
+
 core::ParallelDfptOptions straggler_popt(parallel::FaultInjector* injector) {
   core::ParallelDfptOptions popt;
   popt.dfpt.tolerance = 1e-9;
@@ -595,7 +637,7 @@ core::ParallelDfptOptions straggler_popt(parallel::FaultInjector* injector) {
 // its batch share by measured speed, and the run completes at full world
 // size, matching the fault-free serial reference to 1e-8.
 TEST(StragglerE2E, PersistentSlowdownRebalancesAtFullWorld) {
-  const auto& ground = straggler_ground();
+  const auto& ground = straggler_chain_ground();
   ASSERT_TRUE(ground.converged);
   core::DfptOptions ref_opt;
   ref_opt.tolerance = 1e-9;
@@ -636,6 +678,45 @@ TEST(StragglerE2E, PersistentSlowdownRebalancesAtFullWorld) {
 
   EXPECT_EQ(driver.last_stats().shrinks, 0u);
   EXPECT_GE(driver.last_stats().rebalances, 1u);
+}
+
+// The rebalance abort saves its own iteration even off the checkpoint
+// cadence, so the re-entry resumes exactly where the rung fired: no
+// iteration is repeated, and the resumed run ends on the clean run's
+// iteration count.
+TEST(StragglerE2E, OffCadenceRebalanceReentersAtTheAbortIteration) {
+  const auto& ground = straggler_chain_ground();
+  ASSERT_TRUE(ground.converged);
+  const auto clean =
+      core::solve_direction_parallel(ground, straggler_popt(nullptr), 2);
+  ASSERT_TRUE(clean.direction.converged);
+
+  parallel::FaultEvent ev;
+  ev.kind = parallel::FaultKind::Slowdown;
+  ev.rank = 1;
+  ev.collective = 10;
+  ev.slow_factor = 8.0;
+  ev.transient = false;
+  parallel::FaultInjector injector(parallel::FaultPlan().add(ev));
+
+  resilience::CheckpointStore store(fresh_dir("straggler_off_cadence"));
+  resilience::RecoveryOptions ropt;
+  ropt.elastic = true;
+  ropt.max_retries = 6;
+  ropt.mixing_damping = 1.0;
+  ropt.checkpoint_every = 1000;  // no cadence save inside the run
+  resilience::RecoveryDriver driver(store, ropt);
+  const core::ParallelDfptResult rec =
+      driver.solve_direction_parallel(ground, straggler_popt(&injector), 2);
+
+  EXPECT_TRUE(rec.direction.converged);
+  ASSERT_GE(rec.stats.rebalances, 1u);
+  EXPECT_EQ(driver.last_stats().restores, driver.last_stats().rebalances);
+  EXPECT_EQ(rec.stats.wasted_iterations, 0u);
+  EXPECT_EQ(rec.direction.iterations, clean.direction.iterations);
+  // The re-homed batches regroup the H-phase partial sums, so the match is
+  // to rounding, not bitwise.
+  EXPECT_LT(rec.direction.p1.max_abs_diff(clean.direction.p1), 1e-8);
 }
 
 // Observe-only contract: attaching a detector takes no part in the
