@@ -29,7 +29,6 @@ void print_sweep() {
     opt.grid.angular_degree = 9;
     opt.poisson.l_max = lmax;
     opt.poisson.radial_points = 64;
-    opt.mixer = scf::Mixer::Diis;
     const auto ground = scf::ScfSolver(core::water(), opt).run();
     if (!ground.converged) continue;
 

@@ -47,7 +47,6 @@ scf::ScfOptions light_scf() {
   opt.grid.radial_points = 36;
   opt.grid.angular_degree = 9;
   opt.poisson.radial_points = 72;
-  opt.mixer = scf::Mixer::Diis;
   return opt;
 }
 

@@ -1,16 +1,17 @@
-// aeqp_run: command-line driver -- the library as a standalone tool.
+// aeqp_run: command-line driver -- the library as a standalone tool. The
+// ground state converges with Pulay/DIIS on the Hamiltonian after two
+// damped start-up cycles.
 //
 // Usage:
 //   ./example_aeqp_run <geometry.xyz> [options]
 //     --tier minimal|light     basis tier (default light)
 //     --no-dfpt                stop after the ground state
-//     --diis                   use Pulay mixing
 //     --sigma <hartree>        Fermi-Dirac smearing width
 //     --cube <file>            write the ground density as a cube file
 //     --builtin water|ch4|h2   use a built-in geometry instead of a file
 //
 // Example:
-//   ./example_aeqp_run --builtin water --diis
+//   ./example_aeqp_run --builtin water
 
 #include <cstdio>
 #include <cstring>
@@ -76,8 +77,6 @@ int main(int argc, char** argv) {
                                   : basis::BasisTier::Light;
     } else if (arg == "--no-dfpt") {
       run_dfpt = false;
-    } else if (arg == "--diis") {
-      opt.mixer = scf::Mixer::Diis;
     } else if (arg == "--sigma") {
       opt.smearing_sigma = std::stod(next("--sigma"));
     } else if (arg == "--cube") {
@@ -95,7 +94,7 @@ int main(int argc, char** argv) {
   if (source.empty()) {
     std::fprintf(stderr,
                  "usage: %s <geometry.xyz> | --builtin water|ch4|h2 "
-                 "[--tier minimal|light] [--diis] [--sigma s] [--no-dfpt] "
+                 "[--tier minimal|light] [--sigma s] [--no-dfpt] "
                  "[--cube out.cube]\n",
                  argv[0]);
     return 2;

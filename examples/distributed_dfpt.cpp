@@ -29,7 +29,6 @@ int main() {
   opt.grid.radial_points = 36;
   opt.grid.angular_degree = 9;
   opt.poisson.radial_points = 72;
-  opt.mixer = scf::Mixer::Diis;
 
   std::printf("Ground-state SCF for H2O...\n");
   const scf::ScfResult ground = scf::ScfSolver(h2o, opt).run();

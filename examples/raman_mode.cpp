@@ -42,7 +42,6 @@ AlphaPair polarizability_at(double bond) {
   opt.grid.radial_points = 40;
   opt.grid.angular_degree = 9;
   opt.poisson.radial_points = 80;
-  opt.mixer = scf::Mixer::Diis;
   const scf::ScfResult ground = scf::ScfSolver(h2_at(bond), opt).run();
   if (!ground.converged) throw Error("SCF did not converge at r=" + std::to_string(bond));
   const core::DfptSolver dfpt(ground, {});

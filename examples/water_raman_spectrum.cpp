@@ -38,7 +38,6 @@ scf::ScfOptions scf_options() {
   opt.poisson.radial_points = 72;
   opt.density_tolerance = 1e-8;
   opt.max_iterations = 200;
-  opt.mixer = scf::Mixer::Diis;
   return opt;
 }
 
@@ -48,7 +47,6 @@ scf::ScfOptions scf_options() {
 std::array<double, 9> alpha_at(const grid::Structure& s) {
   scf::ScfOptions opt = scf_options();
   opt.tier = basis::BasisTier::Light;
-  opt.mixer = scf::Mixer::Diis;
   const auto ground = scf::ScfSolver(s, opt).run();
   if (!ground.converged) throw Error("alpha_at: SCF not converged");
   const DfptSolver dfpt(ground, {});

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full release build + test suite, then the threading
 # layer and the simmpi runtime under ThreadSanitizer (AEQP_SANITIZE=thread),
-# then the CPSCF loop suites under AddressSanitizer (AEQP_SANITIZE=address),
-# then the CPSCF loop suites plus LU/DIIS under UndefinedBehaviorSanitizer
-# (AEQP_SANITIZE=undefined).
+# then every test binary under AddressSanitizer (AEQP_SANITIZE=address) and
+# UndefinedBehaviorSanitizer (AEQP_SANITIZE=undefined): all ctest entries but
+# the smoke_bench_* wall-time rails and the *_chaos_soak soaks.
 # Run from the repository root:  scripts/tier1.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,17 +26,17 @@ TSAN_OPTIONS=halt_on_error=1 \
 
 echo "== tier 1: ASan build (AEQP_SANITIZE=address) =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAEQP_SANITIZE=address
-cmake --build build-asan -j --target test_dfpt test_parallel_dfpt test_dynamic_response test_device_dfpt test_resilience test_sdc
+cmake --build build-asan -j --target aeqp_tests
 
-echo "== tier 1: CPSCF loop suites (dfpt + parallel-dfpt + dynamic + device + resilience + sdc) under ASan =="
-ctest --test-dir build-asan --output-on-failure -R '^(test_dfpt|test_parallel_dfpt|test_dynamic_response|test_device_dfpt|test_resilience|test_sdc)$'
+echo "== tier 1: every test binary under ASan (no smoke benches, no soaks) =="
+ctest --test-dir build-asan --output-on-failure -j -E '^smoke_bench_|_chaos_soak$'
 
 echo "== tier 1: UBSan build (AEQP_SANITIZE=undefined) =="
 cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAEQP_SANITIZE=undefined
-cmake --build build-ubsan -j --target test_dfpt test_parallel_dfpt test_dynamic_response test_device_dfpt test_resilience test_sdc test_lu_diis
+cmake --build build-ubsan -j --target aeqp_tests
 
-echo "== tier 1: CPSCF loop suites + LU/DIIS under UBSan =="
+echo "== tier 1: every test binary under UBSan (no smoke benches, no soaks) =="
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-  ctest --test-dir build-ubsan --output-on-failure -R '^(test_dfpt|test_parallel_dfpt|test_dynamic_response|test_device_dfpt|test_resilience|test_sdc|test_lu_diis)$'
+  ctest --test-dir build-ubsan --output-on-failure -j -E '^smoke_bench_|_chaos_soak$'
 
 echo "tier1: OK"

@@ -3,6 +3,8 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "linalg/lu.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "resilience/guards.hpp"
 
 namespace aeqp::scf {
@@ -111,7 +113,13 @@ Matrix DiisMixer::extrapolate(const Matrix& h, const Matrix& p, const Matrix& s)
   if (history_.size() < 2) return h;
 
   const std::optional<Vector> coeff = history_.coefficients();
-  if (!coeff) return h;
+  if (!coeff) {
+    if (obs::enabled()) {
+      static obs::Counter& resets = obs::counter("scf/pulay_resets");
+      resets.increment();
+    }
+    return h;
+  }
   Matrix mixed(h.rows(), h.cols());
   for (std::size_t i = 0; i < coeff->size(); ++i)
     mixed.axpy((*coeff)[i], history_.x(i));

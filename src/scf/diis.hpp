@@ -82,7 +82,8 @@ public:
 
   /// Push the latest Hamiltonian/density pair and return the extrapolated
   /// Hamiltonian. With fewer than two stored pairs (or an ill-conditioned
-  /// B matrix) the input H is returned unchanged.
+  /// B matrix, counted as `scf/pulay_resets`) the input H is returned
+  /// unchanged.
   [[nodiscard]] linalg::Matrix extrapolate(const linalg::Matrix& h,
                                            const linalg::Matrix& p,
                                            const linalg::Matrix& s);

@@ -187,8 +187,8 @@ ScfResult ScfSolver::run() const {
     // downstream, so validate the Hamiltonian before diagonalization.
     resilience::guard_hermitian(h, "scf/h");
 
-    // DIIS extrapolates the Hamiltonian from the residual history.
-    if (options_.mixer == Mixer::Diis && !p_mat.empty()) {
+    // Pulay/DIIS extrapolates H from the residual history (from iteration 2).
+    if (!p_mat.empty()) {
       h = diis.extrapolate(h, p_mat, s);
       h.symmetrize();
     }
@@ -199,10 +199,8 @@ ScfResult ScfSolver::run() const {
     occ = fermi_occupations(sol.eigenvalues, n_electrons, options_.smearing_sigma);
     Matrix p_new = density_matrix_from_orbitals(sol.eigenvectors, occ);
 
-    // Linear density-matrix mixing (DIIS handles damping itself, but a few
-    // damped start-up cycles keep it out of trouble).
-    const bool damp = options_.mixer == Mixer::Linear || iter <= 2;
-    if (!p_mat.empty() && damp) {
+    // Two damped start-up cycles keep DIIS out of trouble.
+    if (!p_mat.empty() && iter <= 2) {
       p_new.scale(options_.mixing);
       p_new.axpy(1.0 - options_.mixing, p_mat);
     }

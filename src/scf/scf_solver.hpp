@@ -20,12 +20,6 @@
 
 namespace aeqp::scf {
 
-/// Self-consistency acceleration scheme.
-enum class Mixer {
-  Linear,  ///< damped density-matrix mixing (robust default)
-  Diis,    ///< Pulay DIIS on the Hamiltonian (faster near convergence)
-};
-
 class DiisMixer;
 
 /// Snapshot handed to an ScfObserver at the end of every SCF iteration
@@ -46,10 +40,9 @@ enum class ScfAction { Continue, Abort };
 using ScfObserver = std::function<ScfAction(const ScfIterationState&)>;
 
 /// Resume point for an SCF cycle: the mixed density matrix after
-/// `iteration` completed iterations plus the DIIS history (empty for the
-/// linear mixer). The grid density and density functor are recomputed from
-/// the density matrix, which reproduces the uninterrupted trajectory
-/// bit-for-bit.
+/// `iteration` completed iterations plus the DIIS history. The grid density
+/// and density functor are recomputed from the density matrix, which
+/// reproduces the uninterrupted trajectory bit-for-bit.
 struct ScfWarmStart {
   int iteration = 0;
   linalg::Matrix density_matrix;
@@ -66,8 +59,7 @@ struct ScfOptions {
   poisson::PoissonSpec poisson;       ///< Hartree solver settings
   int max_iterations = 80;
   double density_tolerance = 1e-6;    ///< max |n_out - n_in| convergence test
-  double mixing = 0.35;               ///< linear density-matrix mixing factor
-  Mixer mixer = Mixer::Linear;        ///< acceleration scheme
+  double mixing = 0.35;               ///< P damping of the 2 start-up cycles
   std::size_t diis_history = 8;       ///< stored Hamiltonians for DIIS
   /// Fermi-Dirac smearing width in hartree (paper Eq. 3); 0 = aufbau.
   double smearing_sigma = 0.0;

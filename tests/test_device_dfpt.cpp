@@ -28,7 +28,6 @@ const scf::ScfResult& ground_h2() {
     opt.grid.radial_points = 30;
     opt.grid.angular_degree = 9;
     opt.poisson.radial_points = 72;
-    opt.mixer = scf::Mixer::Diis;
     return scf::ScfSolver(s, opt).run();
   }();
   return res;

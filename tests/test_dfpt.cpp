@@ -286,6 +286,30 @@ TEST(PulayCpscf, WarmStartThroughSerializedHistoryIsBitIdentical) {
     EXPECT_EQ(res.dipole_response[axis], ref.dipole_response[axis]);
 }
 
+// The default SCF (Pulay DIIS after two damped start-up cycles) converges
+// water in at most 12 iterations, and its alpha is within 1e-6 max|alpha|
+// of a tightly converged reference (SCF to 1e-9, CPSCF to 1e-10).
+TEST(PulayScf, WaterDefaultsConvergeFastToTheTightAlpha) {
+  const scf::ScfResult ground = scf::ScfSolver(water(), scf::ScfOptions{}).run();
+  ASSERT_TRUE(ground.converged);
+  EXPECT_LE(ground.iterations, 12);
+
+  scf::ScfOptions tight_scf;
+  tight_scf.density_tolerance = 1e-9;
+  const scf::ScfResult tight_ground = scf::ScfSolver(water(), tight_scf).run();
+  ASSERT_TRUE(tight_ground.converged);
+  DfptOptions tight;
+  tight.tolerance = 1e-10;
+  const DfptResult ref = DfptSolver(tight_ground, tight).solve_all();
+  const DfptResult res = DfptSolver(ground, {}).solve_all();
+  const double scale = max_abs_alpha(ref);
+  for (int i = 0; i < 3; ++i)
+    for (int j = 0; j < 3; ++j)
+      EXPECT_LE(std::fabs(res.polarizability(i, j) - ref.polarizability(i, j)),
+                1e-6 * scale)
+          << "alpha_" << i << j;
+}
+
 TEST(PulayCpscf, DamagedHistoryBlobIsRejected) {
   const std::vector<unsigned char> blob = water_checkpoint_blob(6);
   ASSERT_FALSE(blob.empty());

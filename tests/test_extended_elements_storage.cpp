@@ -53,7 +53,6 @@ TEST(SecondRow, H2SScfConverges) {
   opt.grid.radial_points = 44;   // deeper core needs a denser mesh
   opt.grid.angular_degree = 9;
   opt.poisson.radial_points = 88;
-  opt.mixer = scf::Mixer::Diis;
   opt.max_iterations = 120;
   const auto res = scf::ScfSolver(h2s, opt).run();
   EXPECT_TRUE(res.converged);
@@ -72,7 +71,6 @@ TEST(SparseStorage, GlobalCsrModeMatchesDense) {
   opt.grid.radial_points = 30;
   opt.grid.angular_degree = 9;
   opt.poisson.radial_points = 72;
-  opt.mixer = scf::Mixer::Diis;
   opt.max_iterations = 150;
   const auto ground = scf::ScfSolver(h2, opt).run();
   ASSERT_TRUE(ground.converged);

@@ -22,7 +22,6 @@ scf::ScfOptions light_options() {
   opt.grid.angular_degree = 9;
   opt.poisson.radial_points = 72;
   opt.poisson.l_max = 4;
-  opt.mixer = scf::Mixer::Diis;
   return opt;
 }
 
@@ -36,7 +35,6 @@ grid::Structure h2() {
 TEST(Integration, LargerBasisIsVariationallyLower) {
   auto minimal = light_options();
   minimal.tier = basis::BasisTier::Minimal;
-  minimal.mixer = scf::Mixer::Linear;
   const auto e_min = scf::ScfSolver(h2(), minimal).run();
   const auto e_light = scf::ScfSolver(h2(), light_options()).run();
   ASSERT_TRUE(e_min.converged);
@@ -99,7 +97,6 @@ TEST(Integration, WaterTensorStructure) {
 TEST(Integration, ScfEnergyStableUnderGridRefinement) {
   auto coarse = light_options();
   coarse.tier = basis::BasisTier::Minimal;
-  coarse.mixer = scf::Mixer::Linear;
   coarse.grid.radial_points = 30;
   auto fine = coarse;
   fine.grid.radial_points = 60;
@@ -116,7 +113,6 @@ TEST(Integration, NuclearRepulsionIncludedInTotalEnergy) {
   // twice the isolated-atom value from above.
   auto opt = light_options();
   opt.tier = basis::BasisTier::Minimal;
-  opt.mixer = scf::Mixer::Linear;
   // Moderately stretched bond (full dissociation is pathological for a
   // restricted closed-shell reference, as in any spin-restricted code).
   grid::Structure far;

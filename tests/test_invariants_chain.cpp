@@ -56,7 +56,6 @@ TEST(ChainMolecule, EthanePolarizabilityAnisotropic) {
   opt.grid.angular_degree = 9;
   opt.poisson.radial_points = 64;
   opt.poisson.l_max = 4;
-  opt.mixer = scf::Mixer::Diis;
   opt.max_iterations = 150;
   const auto ground = scf::ScfSolver(chain, opt).run();
   ASSERT_TRUE(ground.converged);

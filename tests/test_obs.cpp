@@ -27,6 +27,7 @@
 #include "obs/trace.hpp"
 #include "parallel/cluster.hpp"
 #include "parallel/fault.hpp"
+#include "scf/diis.hpp"
 #include "scf/scf_solver.hpp"
 
 namespace {
@@ -387,6 +388,35 @@ TEST_F(ObsTest, ConvergenceCountersCountEachIterationOnce) {
             serial.iterations + par.direction.iterations);
   EXPECT_LE(counter_value("cpscf/pulay_resets"),
             counter_value("cpscf/iterations"));
+}
+
+// A singular SCF B matrix (two identical residuals) falls back to the latest
+// H and is counted once as scf/pulay_resets; with tracing off, never.
+TEST_F(ObsTest, ScfPulayResetIsCountedOnlyWhileEnabled) {
+  linalg::Matrix h(3, 3), p(3, 3);
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = 0; j < 3; ++j) {
+      h(i, j) = 1.0 / static_cast<double>(i + j + 1);
+      p(i, j) = i == j ? 1.0 : 0.25;
+    }
+  linalg::Matrix s = linalg::Matrix::identity(3);
+  s(0, 1) = s(1, 0) = 0.5;
+  ASSERT_GT(scf::DiisMixer::residual(h, p, s).max_abs(), 0.0);
+
+  obs::set_mode(obs::TraceMode::Off);
+  scf::DiisMixer off(4);
+  (void)off.extrapolate(h, p, s);
+  (void)off.extrapolate(h, p, s);
+  EXPECT_EQ(counter_value("scf/pulay_resets"), 0.0);
+
+  obs::set_mode(obs::TraceMode::Summary);
+  scf::DiisMixer on(4);
+  (void)on.extrapolate(h, p, s);
+  EXPECT_EQ(counter_value("scf/pulay_resets"), 0.0);
+  const linalg::Matrix out = on.extrapolate(h, p, s);
+  EXPECT_EQ(counter_value("scf/pulay_resets"), 1.0);
+  EXPECT_EQ(out.max_abs_diff(h), 0.0);
+  EXPECT_EQ(on.history_size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

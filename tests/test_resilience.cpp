@@ -20,6 +20,7 @@
 #include "common/error.hpp"
 #include "core/dfpt.hpp"
 #include "core/parallel_dfpt.hpp"
+#include "core/structures.hpp"
 #include "comm/packed.hpp"
 #include "parallel/cluster.hpp"
 #include "parallel/fault.hpp"
@@ -368,13 +369,12 @@ const scf::ScfResult& ground_h2() {
   return res;
 }
 
-scf::ScfOptions h2_scf_options(scf::Mixer mixer) {
+scf::ScfOptions h2_scf_options() {
   scf::ScfOptions opt;
   opt.tier = basis::BasisTier::Light;
   opt.grid.radial_points = 30;
   opt.grid.angular_degree = 9;
   opt.poisson.radial_points = 72;
-  opt.mixer = mixer;
   return opt;
 }
 
@@ -441,44 +441,53 @@ TEST(DfptResilience, SerialWarmStartIsBitIdentical) {
   EXPECT_EQ(res.dipole_response.z, ref.dipole_response.z);
 }
 
-class ScfResume : public ::testing::TestWithParam<scf::Mixer> {};
-
-// An SCF run interrupted mid-cycle resumes from its checkpoint and lands on
-// the identical energy in the identical number of iterations.
-TEST_P(ScfResume, CheckpointResumeIsBitIdentical) {
-  const auto structure = h2_structure();
-  const scf::ScfResult ref =
-      scf::ScfSolver(structure, h2_scf_options(GetParam())).run();
+// An SCF run interrupted after iteration `cut` resumes from its checkpoint
+// and lands on the identical energy and density matrix in the identical
+// number of iterations.
+void expect_scf_resume_bit_identical(const grid::Structure& structure,
+                                     const scf::ScfOptions& options, int cut,
+                                     const std::string& dir) {
+  const scf::ScfResult ref = scf::ScfSolver(structure, options).run();
   ASSERT_TRUE(ref.converged);
-  ASSERT_GT(ref.iterations, 4);
+  ASSERT_GT(ref.iterations, cut + 1);
 
-  CheckpointStore store(fresh_dir(GetParam() == scf::Mixer::Diis
-                                      ? "scf_resume_diis"
-                                      : "scf_resume_linear"));
-  // Crash after iteration 3, with checkpointing attached.
-  scf::ScfOptions opt = h2_scf_options(GetParam());
-  attach_scf_checkpointing(opt, store, "h2");
+  CheckpointStore store(fresh_dir(dir));
+  scf::ScfOptions opt = options;
+  attach_scf_checkpointing(opt, store, "scf");
   const scf::ScfObserver save = opt.observer;
   opt.observer = [&](const scf::ScfIterationState& s) {
     save(s);
-    return s.iteration >= 3 ? scf::ScfAction::Abort : scf::ScfAction::Continue;
+    return s.iteration >= cut ? scf::ScfAction::Abort : scf::ScfAction::Continue;
   };
-  const scf::ScfResult cut = scf::ScfSolver(structure, opt).run();
-  ASSERT_FALSE(cut.converged);
-  ASSERT_TRUE(store.exists("h2"));
+  const scf::ScfResult interrupted = scf::ScfSolver(structure, opt).run();
+  ASSERT_FALSE(interrupted.converged);
+  ASSERT_EQ(interrupted.iterations, cut);
+  ASSERT_TRUE(store.exists("scf"));
 
-  scf::ScfOptions resume = h2_scf_options(GetParam());
-  ASSERT_TRUE(resume_scf_from_checkpoint(resume, store, "h2"));
+  scf::ScfOptions resume = options;
+  ASSERT_TRUE(resume_scf_from_checkpoint(resume, store, "scf"));
   const scf::ScfResult res = scf::ScfSolver(structure, resume).run();
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, ref.iterations);
-  EXPECT_DOUBLE_EQ(res.total_energy, ref.total_energy);
+  EXPECT_EQ(res.total_energy, ref.total_energy);
   EXPECT_EQ(res.density_matrix.max_abs_diff(ref.density_matrix), 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Mixers, ScfResume,
-                         ::testing::Values(scf::Mixer::Linear,
-                                           scf::Mixer::Diis));
+TEST(ScfResume, CheckpointResumeIsBitIdentical) {
+  expect_scf_resume_bit_identical(h2_structure(), h2_scf_options(), 3,
+                                  "scf_resume_h2");
+}
+
+// Water at the default options: a cut after iteration 1 resumes into the
+// second damped start-up cycle with an empty DIIS history; a cut after
+// iteration 3 resumes the Pulay cycles from a two-pair history.
+TEST(ScfResume, WaterDefaultOptionsResumeIsBitIdentical) {
+  for (const int cut : {1, 3}) {
+    SCOPED_TRACE("cut after iteration " + std::to_string(cut));
+    expect_scf_resume_bit_identical(core::water(), scf::ScfOptions{}, cut,
+                                    "scf_resume_water_" + std::to_string(cut));
+  }
+}
 
 // The acceptance bar of the resilience work: a corrupted collective payload
 // inside a distributed CPSCF run is detected (since the SDC defense landed,

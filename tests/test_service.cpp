@@ -65,7 +65,6 @@ service::JobSpec light_job(double stretch = 0.0) {
   spec.scf.grid.radial_points = 36;
   spec.scf.grid.angular_degree = 9;
   spec.scf.poisson.radial_points = 72;
-  spec.scf.mixer = scf::Mixer::Diis;
   spec.dfpt.tolerance = 1e-6;
   spec.deadline = std::chrono::milliseconds(120000);
   return spec;
