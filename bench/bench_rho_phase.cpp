@@ -8,9 +8,10 @@
 // cache build is included). Writes BENCH_rho.json with the rates, speedups
 // and the host's hardware thread count.
 //
-// Correctness rails built into the run: at tau = 0 the batched paths must
-// agree with the per-point paths bit for bit (max |diff| printed and
-// asserted 0), and at the default tau the density error bound is printed.
+// Correctness rails built into the run: at tau = 0 the batched contraction
+// must agree bit for bit with the per-point path, the ascending symmetric
+// loop over each point's entries (max |diff| printed and asserted 0), and
+// at the default tau the density error bound is printed.
 //
 // `--tune` runs the persistent autotuner (src/tune/) and saves the best
 // configuration to $AEQP_TUNE_FILE (or ./aeqp_tune.json); subsequent solver
@@ -45,6 +46,25 @@ struct Rates {
   double batched_vs_per_point_max_diff = 0;  // at tau = 0, must be 0
   std::size_t grid_points = 0, basis_size = 0, density_evals = 0;
 };
+
+/// The per-point density sum_ab P_ab chi_a chi_b in contract_density's
+/// association: t = P'_aa chi_a; t += P'_ab chi_b (b > a); n += chi_a t over
+/// the point's ascending entries, P'_ab = P_ab + P_ba. Written in the
+/// kernel's expression shape, so FMA contraction fuses both the same way.
+double symmetric_loop(const linalg::Matrix& p, const basis::PointEval& ev) {
+  double n = 0.0;
+  for (std::size_t a = 0; a < ev.indices.size(); ++a) {
+    const std::uint32_t ia = ev.indices[a];
+    const double va = ev.values[a];
+    double t = p(ia, ia) * va;
+    for (std::size_t b = a + 1; b < ev.indices.size(); ++b) {
+      const double pab = p(ia, ev.indices[b]) + p(ev.indices[b], ia);
+      t += pab * ev.values[b];
+    }
+    n += va * t;
+  }
+  return n;
+}
 
 /// Repeat `body` until it has run for >= min_seconds (>= 1 rep); returns
 /// work_per_rep * reps / elapsed.
@@ -107,11 +127,7 @@ Rates run(bool smoke) {
     basis::PointEval ev;
     for (std::size_t i = 0; i < np; ++i) {
       basis.evaluate(pts[i], false, ev);
-      double n = 0.0;
-      for (std::size_t a = 0; a < ev.indices.size(); ++a)
-        for (std::size_t b = 0; b < ev.indices.size(); ++b)
-          n += p(ev.indices[a], ev.indices[b]) * ev.values[a] * ev.values[b];
-      n_point[i] = n;
+      n_point[i] = symmetric_loop(p, ev);
     }
   });
   // Rail: unscreened batched vs per-point must agree bit for bit.
@@ -130,11 +146,7 @@ Rates run(bool smoke) {
   const poisson::DensityFn point_fn = [&](const Vec3& pos) {
     basis::PointEval ev;
     basis.evaluate(pos, false, ev);
-    double n = 0.0;
-    for (std::size_t a = 0; a < ev.indices.size(); ++a)
-      for (std::size_t b = 0; b < ev.indices.size(); ++b)
-        n += p(ev.indices[a], ev.indices[b]) * ev.values[a] * ev.values[b];
-    return n;
+    return symmetric_loop(p, ev);
   };
   // Density evaluations per projection: atoms x radial shells x angular pts
   // (same angular rule the solver builds internally).

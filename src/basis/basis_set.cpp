@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "basis/dense_tile.hpp"
 #include "basis/spherical_harmonics.hpp"
 #include "obs/metrics.hpp"
 
@@ -274,22 +274,9 @@ double BasisSet::free_atom_density(int z, double r) const {
 
 namespace {
 
-/// Points per lane block of the contraction kernel: four independent 2-wide
-/// accumulators. At the portable -O2 x86-64 baseline (SSE2) explicit 2-wide
-/// vectors are what the compiler keeps in registers; wider generic vectors
-/// spill (docs/performance.md, "Vectorization evidence").
-constexpr std::size_t kLanes = 8;
 /// Points per dense union chunk: bounds the scratch (union x chunk doubles)
 /// for callers that hand very large blocks. A projection ring fits in one.
 constexpr std::size_t kChunkPoints = 128;
-
-using Lane2 = double __attribute__((vector_size(16)));
-
-inline Lane2 load2(const double* p) {
-  Lane2 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
 
 }  // namespace
 
@@ -299,8 +286,8 @@ void contract_density(const linalg::Matrix& p, const BatchEval& ev, double* out)
   // all zero between chunks.
   thread_local std::vector<std::uint32_t> slot;
   thread_local std::vector<std::uint32_t> ids;
-  thread_local std::vector<double> v, p_loc;
   if (slot.size() < nb) slot.resize(nb, 0);
+  tile::Scratch& s = tile::thread_scratch();
 
   for (std::size_t c0 = 0; c0 < ev.points(); c0 += kChunkPoints) {
     const std::size_t nc = std::min(kChunkPoints, ev.points() - c0);
@@ -316,52 +303,17 @@ void contract_density(const linalg::Matrix& p, const BatchEval& ev, double* out)
         slot[mu] = static_cast<std::uint32_t>(ids.size());
       }
     const std::size_t nl = ids.size();
-    const std::size_t nk = (nc + kLanes - 1) / kLanes * kLanes;
+    const std::size_t nk = tile::round_up(nc, tile::kLanes);
 
     // Dense, zero-padded V[a][k] = chi_{ids[a]}(point c0 + k), and the
-    // matching P block.
-    v.assign(nl * nk, 0.0);
-    for (std::size_t k = 0; k < nc; ++k)
-      for (std::uint32_t e = ev.offsets[c0 + k]; e < ev.offsets[c0 + k + 1]; ++e)
-        v[(slot[ev.indices[e]] - 1) * nk + k] = ev.values[e];
+    // folded P block.
+    tile::densify(
+        ev.offsets.data() + c0, nc, ev.values.data(),
+        [&](std::uint32_t e) { return slot[ev.indices[e]] - 1; }, nk, 1,
+        nl * nk, s.v);
     for (const std::uint32_t mu : ids) slot[mu] = 0;
-    p_loc.resize(nl * nl);
-    for (std::size_t a = 0; a < nl; ++a) {
-      const double* prow = p.data() + static_cast<std::size_t>(ids[a]) * nb;
-      for (std::size_t b = 0; b < nl; ++b) p_loc[a * nl + b] = prow[ids[b]];
-    }
-
-    // Per point, acc += (P_ab * chi_a) * chi_b over ascending (a, b) -- the
-    // per-point double loop's exact sequence of rounded operations, plus
-    // terms where chi_a or chi_b is a padded zero. Those are exactly +-0 for
-    // finite P, x + (+-0) == x, and an accumulator starting at +0 never
-    // becomes -0 under round-to-nearest, so they change no bit. Each point
-    // owns an accumulator lane, so the add chains of kLanes points run side
-    // by side.
-    for (std::size_t kb = 0; kb < nc; kb += kLanes) {
-      Lane2 acc0 = {0.0, 0.0}, acc1 = acc0, acc2 = acc0, acc3 = acc0;
-      for (std::size_t a = 0; a < nl; ++a) {
-        const double* va = v.data() + a * nk + kb;
-        const Lane2 a0 = load2(va), a1 = load2(va + 2), a2 = load2(va + 4),
-                    a3 = load2(va + 6);
-        const double* prow = p_loc.data() + a * nl;
-        for (std::size_t b = 0; b < nl; ++b) {
-          const Lane2 pab = {prow[b], prow[b]};
-          const double* vb = v.data() + b * nk + kb;
-          acc0 += (pab * a0) * load2(vb);
-          acc1 += (pab * a1) * load2(vb + 2);
-          acc2 += (pab * a2) * load2(vb + 4);
-          acc3 += (pab * a3) * load2(vb + 6);
-        }
-      }
-      double lanes[kLanes];
-      std::memcpy(lanes, &acc0, sizeof acc0);
-      std::memcpy(lanes + 2, &acc1, sizeof acc1);
-      std::memcpy(lanes + 4, &acc2, sizeof acc2);
-      std::memcpy(lanes + 6, &acc3, sizeof acc3);
-      const std::size_t m = std::min(kLanes, nc - kb);
-      for (std::size_t j = 0; j < m; ++j) out[c0 + kb + j] = lanes[j];
-    }
+    tile::gather_folded(p.data(), nb, ids.data(), nl, s.m);
+    tile::symmetric_density(s.v.data(), nk, s.m.data(), nl, nc, out + c0);
   }
 }
 

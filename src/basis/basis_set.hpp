@@ -158,14 +158,16 @@ private:
 
 /// Density contraction n(p) = sum_{mu,nu} P_mu_nu chi_mu(p) chi_nu(p) for
 /// every point of a batched evaluation (Eq. 8 -- serves both n and the
-/// response n^(1)). Ring-dense kernel: the block's ascending union of basis
-/// ids indexes a zero-padded dense V[a][k] and a gathered P block, and
-/// points run in lanes of 8, each with its own accumulator. Per point the
-/// sum is acc += (P_ab * chi_a) * chi_b over ascending (a, b) -- the plain
-/// double loop over the point's entries (which evaluate_batch emits in
-/// ascending id order) -- plus padded terms that are exactly +-0, so for
-/// finite P the result is bit-identical to that loop
-/// (docs/performance.md, "Ring-dense density contraction").
+/// response n^(1)). Symmetric dense-tile kernel (basis/dense_tile.hpp): per
+/// chunk of up to 128 points, the ascending union of basis ids indexes a
+/// zero-padded dense V[a][k] and a gathered P block folded into its upper
+/// triangle, P'_aa = P_aa and P'_ab = P_ab + P_ba (b > a) -- exact for any
+/// P, symmetric or not. Per point the sum is the ascending loop
+///   t = P'_aa chi_a; t += P'_ab chi_b (b > a); n += chi_a t
+/// over the point's entries (which evaluate_batch emits in ascending id
+/// order), about a third of the flops of the plain double loop, plus padded
+/// terms that are exactly +-0, so for finite P the result is bit-identical
+/// to that loop (docs/performance.md, "Symmetric dense-tile kernels").
 void contract_density(const linalg::Matrix& p, const BatchEval& ev, double* out);
 
 }  // namespace aeqp::basis

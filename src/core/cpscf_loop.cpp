@@ -234,6 +234,7 @@ double run_cpscf(const scf::ScfResult& ground, const CpscfSetup& setup,
     if (obs::enabled() && thread_rank() <= 0) {
       static obs::Counter& iterations = obs::counter("cpscf/iterations");
       iterations.increment();
+      obs::series_append("cpscf/max_dp1", delta);
     }
     if (kernels.observe) {
       const CpscfIterationState state{direction, iter, delta,

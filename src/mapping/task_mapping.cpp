@@ -203,8 +203,8 @@ RemapResult rebalance_for_slow_ranks(const Assignment& previous,
 
   for (const auto b : orphans) {
     std::size_t best = 0;
-    double best_score = 0.0;
-    bool found = false;
+    double best_score = 0.0, best_load = 0.0;
+    bool found = false, best_fits = false;
     for (std::size_t r = 0; r < n_ranks; ++r) {
       double dist = 0.0;
       if (owned[r] > 0) {
@@ -216,9 +216,21 @@ RemapResult rebalance_for_slow_ranks(const Assignment& previous,
       const double load =
           static_cast<double>(points[r] + batches[b].size()) / target[r];
       const double score = (1.0 + dist) * load;
-      if (!found || score < best_score) {
+      // The targets come first: while some rank still has room for the
+      // batch, locality only chooses among those. Otherwise a slow rank
+      // next to the shed batches would take them back (the distance term
+      // outweighs any load ratio) and stay the critical path at its own
+      // slow speed, while a distant healthy rank idles below its target.
+      // With no room anywhere, the least-loaded rank takes the batch.
+      const bool fits = load <= 1.0;
+      const bool better = !found || (fits && !best_fits) ||
+                          (fits == best_fits &&
+                           (fits ? score < best_score : load < best_load));
+      if (better) {
         best = r;
         best_score = score;
+        best_load = load;
+        best_fits = fits;
         found = true;
       }
     }

@@ -78,7 +78,9 @@ RemapResult remap_for_survivors(const Assignment& previous,
 /// their farthest-from-centroid batches first (their locality core stays
 /// intact), and the orphans are re-homed with the same locality-vs-balance
 /// objective remap_for_survivors uses, with the balance term measured
-/// against the weighted target. Deterministic: results depend only on the
+/// against the weighted target -- among the ranks that still have room
+/// under their target, so a slow rank never takes shed work back while a
+/// healthy rank is below its share. Deterministic: results depend only on the
 /// inputs, so every rank computing its own copy agrees bit-for-bit.
 /// `weights` has previous.rank_count() entries, each > 0.
 RemapResult rebalance_for_slow_ranks(const Assignment& previous,

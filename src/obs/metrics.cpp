@@ -14,6 +14,7 @@ struct MetricsState {
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::size_t, MetricsFn> sources;
   std::size_t next_id = 1;
+  std::map<std::string, std::vector<double>> series;
 };
 
 MetricsState& state() {
@@ -70,6 +71,34 @@ void reset_counters() {
   MetricsState& s = state();
   const std::lock_guard<std::mutex> lock(s.mutex);
   for (auto& [name, c] : s.counters) c->reset();
+}
+
+void series_append(const std::string& name, double value) {
+  MetricsState& s = state();
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  s.series[name].push_back(value);
+}
+
+std::vector<Series> series_snapshot() {
+  MetricsState& s = state();
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  std::vector<Series> out;
+  out.reserve(s.series.size());
+  for (const auto& [name, values] : s.series) out.push_back({name, values});
+  return out;
+}
+
+std::vector<double> series(const std::string& name) {
+  MetricsState& s = state();
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  const auto it = s.series.find(name);
+  return it == s.series.end() ? std::vector<double>{} : it->second;
+}
+
+void reset_series() {
+  MetricsState& s = state();
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  s.series.clear();
 }
 
 }  // namespace aeqp::obs

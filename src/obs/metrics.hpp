@@ -94,4 +94,25 @@ private:
 /// Zero every counter (sources are left registered). For tests/benches.
 void reset_counters();
 
+/// Append `value` to the process-wide series `name`: per-iteration
+/// telemetry such as the SCF and CPSCF convergence residuals. Like the
+/// hot-path counters, callers append only while obs::enabled(), so with
+/// tracing off no series exists. Takes a mutex (once per iteration).
+void series_append(const std::string& name, double value);
+
+/// One named series, values in append order.
+struct Series {
+  std::string name;
+  std::vector<double> values;
+};
+
+/// Every series, sorted by name.
+[[nodiscard]] std::vector<Series> series_snapshot();
+
+/// The values of series `name` (empty when it was never appended to).
+[[nodiscard]] std::vector<double> series(const std::string& name);
+
+/// Drop every series. ScopedRunProfile calls it at the start of a run.
+void reset_series();
+
 }  // namespace aeqp::obs

@@ -272,6 +272,13 @@ void write_phase_report(std::ostream& os, const std::string& label) {
       os << "  " << std::left << std::setw(34) << m.name << " "
          << format_number(m.value) << "\n";
   }
+  if (const auto all_series = series_snapshot(); !all_series.empty()) {
+    os << "series (count, first, last):\n";
+    for (const Series& sr : all_series)
+      os << "  " << std::left << std::setw(34) << sr.name << " "
+         << sr.values.size() << ", " << format_number(sr.values.front())
+         << ", " << format_number(sr.values.back()) << "\n";
+  }
   if (const std::string comm = comm_matrix_summary(); !comm.empty())
     os << comm << "\n";
   write_extra_sections(os);
@@ -303,6 +310,15 @@ std::string profile_json(int indent) {
   for (std::size_t i = 0; i < metrics.size(); ++i)
     os << (i ? ", " : "") << "\"" << json_escape(metrics[i].name)
        << "\": " << format_number(metrics[i].value);
+  os << "},\n";
+  os << pad << "\"series\": {";
+  const auto all_series = series_snapshot();
+  for (std::size_t i = 0; i < all_series.size(); ++i) {
+    os << (i ? ", " : "") << "\"" << json_escape(all_series[i].name) << "\": [";
+    for (std::size_t k = 0; k < all_series[i].values.size(); ++k)
+      os << (k ? ", " : "") << format_number(all_series[i].values[k]);
+    os << "]";
+  }
   os << "}\n";
   os << "}";
   return os.str();
@@ -320,6 +336,7 @@ ScopedRunProfile::ScopedRunProfile(std::string label)
   }
   reset();
   reset_comm_matrix();
+  reset_series();
 }
 
 ScopedRunProfile::~ScopedRunProfile() { finish(); }

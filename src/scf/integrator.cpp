@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "basis/dense_tile.hpp"
 #include "common/error.hpp"
 #include "exec/thread_pool.hpp"
 
@@ -76,44 +77,66 @@ template <typename Getter>
 Matrix BatchIntegrator::accumulate_weighted(Getter&& point_factor,
                                             bool use_laplacian) const {
   const std::size_t nb = basis_->size();
-  Matrix m(nb, nb);
-  // Phase 1 (parallel): every tile accumulates into its dense local block
-  // -- direct row[local_index] writes, no global scatter in the inner loop.
+  // Phase 1 (parallel): per tile, dense V (and its Laplacian for the
+  // kinetic matrix) over the tile's union, then blk = (w o V) Y^T by the
+  // register-blocked Gram kernel, Y = V or the Laplacian. With Y = V the
+  // block is symmetric and only its upper triangle is formed; the
+  // Laplacian block is formed whole and folded, blk_ab + blk_ba. Either way
+  // a tile keeps its packed upper triangle, nl (nl + 1) / 2 doubles.
   std::vector<std::vector<double>> blocks(tiles_.size());
   exec::parallel_for(0, tiles_.size(), [&](std::size_t t) {
     const Tile& tile = tiles_[t];
-    const std::size_t nloc = tile.basis_ids.size();
-    std::vector<double>& blk = blocks[t];
-    blk.assign(nloc * nloc, 0.0);
-    const std::uint32_t e_base = offsets_[tile.p_begin];
-    for (std::size_t p = tile.p_begin; p < tile.p_end; ++p) {
-      const double f = point_factor(p);
-      if (f == 0.0) continue;
-      const double w = grid_->point(p).weight * f;
-      const std::uint32_t begin = offsets_[p], end = offsets_[p + 1];
-      for (std::uint32_t i = begin; i < end; ++i) {
-        const double xi = values_[i] * w;
-        double* row =
-            blk.data() + std::size_t{tile.local_index[i - e_base]} * nloc;
-        for (std::uint32_t j = begin; j < end; ++j) {
-          const double yj = use_laplacian ? laplacians_[j] : values_[j];
-          row[tile.local_index[j - e_base]] += xi * yj;
-        }
-      }
+    const std::size_t nl = tile.basis_ids.size();
+    const std::size_t np = tile.p_end - tile.p_begin;
+    const std::size_t ld = basis::tile::round_up(nl, basis::tile::kGramCols);
+    const std::uint32_t* off = offsets_.data() + tile.p_begin;
+    const std::uint32_t e_base = off[0];
+    const auto local = [&](std::uint32_t e) {
+      return tile.local_index[e - e_base];
+    };
+    basis::tile::Scratch& s = basis::tile::thread_scratch();
+    basis::tile::densify(off, np, values_.data(), local, 1, ld, np * ld, s.v);
+    // The Laplacian operand serves the one kinetic build of a set-up; it
+    // is not kept in the thread's scratch.
+    std::vector<double> lap;
+    if (use_laplacian)
+      basis::tile::densify(off, np, laplacians_.data(), local, 1, ld, np * ld,
+                           lap);
+    double w[kTilePoints];
+    for (std::size_t k = 0; k < np; ++k) {
+      const std::size_t p = tile.p_begin + k;
+      w[k] = grid_->point(p).weight * point_factor(p);
     }
+    s.m.resize(ld * ld);
+    const double* y = use_laplacian ? lap.data() : s.v.data();
+    basis::tile::weighted_gram(s.v.data(), w, y, ld, np, nl, !use_laplacian,
+                               s.m.data(), s.x);
+    if (use_laplacian) basis::tile::fold_upper(s.m.data(), nl, ld);
+    std::vector<double>& blk = blocks[t];
+    blk.resize(nl * (nl + 1) / 2);
+    double* out = blk.data();
+    for (std::size_t a = 0; a < nl; ++a)
+      for (std::size_t b = a; b < nl; ++b) *out++ = s.m[a * ld + b];
   });
-  // Phase 2 (ordered): flush blocks in tile order, so the floating-point
-  // accumulation sequence per element is fixed for every thread count.
+  // Phase 2 (ordered): flush the packed blocks in tile order, so the
+  // floating-point accumulation sequence per element is fixed for every
+  // thread count. Unions are ascending, so a block's upper triangle lands
+  // in the matrix's upper triangle.
+  Matrix m(nb, nb);
   for (std::size_t t = 0; t < tiles_.size(); ++t) {
     const Tile& tile = tiles_[t];
-    const std::size_t nloc = tile.basis_ids.size();
-    const std::vector<double>& blk = blocks[t];
-    for (std::size_t i = 0; i < nloc; ++i) {
-      double* mrow = m.data() + std::size_t{tile.basis_ids[i]} * nb;
-      const double* brow = blk.data() + i * nloc;
-      for (std::size_t j = 0; j < nloc; ++j) mrow[tile.basis_ids[j]] += brow[j];
+    const std::size_t nl = tile.basis_ids.size();
+    const double* in = blocks[t].data();
+    for (std::size_t a = 0; a < nl; ++a) {
+      double* mrow = m.data() + std::size_t{tile.basis_ids[a]} * nb;
+      for (std::size_t b = a; b < nl; ++b) mrow[tile.basis_ids[b]] += *in++;
     }
   }
+  // Mirror once: the result is exactly symmetric. A folded Laplacian sum is
+  // halved, the symmetrized estimate (T_ab + T_ba) / 2.
+  const double half = use_laplacian ? 0.5 : 1.0;
+  for (std::size_t a = 0; a < nb; ++a)
+    for (std::size_t b = a + 1; b < nb; ++b) m(b, a) = m(a, b) = half * m(a, b);
   return m;
 }
 
@@ -122,11 +145,10 @@ Matrix BatchIntegrator::overlap() const {
 }
 
 Matrix BatchIntegrator::kinetic() const {
-  Matrix t = accumulate_weighted([](std::size_t) { return -0.5; }, true);
-  // The asymmetric grid estimate of <mu|nabla^2|nu> is symmetrized, the
-  // standard practice for NAO grid integration (FHI-aims does the same).
-  t.symmetrize();
-  return t;
+  // The asymmetric grid estimate of <mu|nabla^2|nu> is symmetrized (inside
+  // accumulate_weighted), the standard practice for NAO grid integration
+  // (FHI-aims does the same).
+  return accumulate_weighted([](std::size_t) { return -0.5; }, true);
 }
 
 Matrix BatchIntegrator::external_potential() const {
@@ -167,24 +189,26 @@ std::vector<double> BatchIntegrator::density(const Matrix& p_mat) const {
   AEQP_CHECK(p_mat.rows() == nb && p_mat.cols() == nb,
              "density: density matrix shape mismatch");
   std::vector<double> n(grid_->size(), 0.0);
-  // Every point owns its own output slot: embarrassingly parallel and
+  // The Rho contraction's kernel over each tile's union: every point owns
+  // its own output slot and depends on its tile alone, so the result is
   // bit-identical for any thread count.
-  exec::parallel_for_ranges(
-      0, grid_->size(), 64, [&](std::size_t pb, std::size_t pe) {
-        for (std::size_t p = pb; p < pe; ++p) {
-          const std::uint32_t begin = offsets_[p], end = offsets_[p + 1];
-          double acc = 0.0;
-          for (std::uint32_t i = begin; i < end; ++i) {
-            const std::uint32_t mu = indices_[i];
-            const double* prow = p_mat.data() + mu * nb;
-            double row = 0.0;
-            for (std::uint32_t j = begin; j < end; ++j)
-              row += prow[indices_[j]] * values_[j];
-            acc += values_[i] * row;
-          }
-          n[p] = acc;
-        }
-      });
+  exec::parallel_for(0, tiles_.size(), [&](std::size_t t) {
+    const Tile& tile = tiles_[t];
+    const std::size_t nl = tile.basis_ids.size();
+    const std::size_t np = tile.p_end - tile.p_begin;
+    const std::size_t nk = basis::tile::round_up(np, basis::tile::kLanes);
+    const std::uint32_t* off = offsets_.data() + tile.p_begin;
+    const std::uint32_t e_base = off[0];
+    basis::tile::Scratch& s = basis::tile::thread_scratch();
+    basis::tile::densify(
+        off, np, values_.data(),
+        [&](std::uint32_t e) { return tile.local_index[e - e_base]; }, nk, 1,
+        nl * nk, s.v);
+    basis::tile::gather_folded(p_mat.data(), nb, tile.basis_ids.data(), nl,
+                               s.m);
+    basis::tile::symmetric_density(s.v.data(), nk, s.m.data(), nl, np,
+                                   n.data() + tile.p_begin);
+  });
   return n;
 }
 

@@ -12,13 +12,17 @@
 /// matrices. This cache is exactly the per-batch working set an OpenCL
 /// work-group holds in the paper's kernels.
 ///
-/// Matrix accumulation is tiled: contiguous point ranges form tiles, each
-/// with the sorted union of its active basis functions. A tile accumulates
-/// into a dense local block indexed by that union (the paper's Sec. 4.3
-/// indirect-access elimination applied on the host -- no m(mu, indices[j])
-/// scatter in the inner loop) and the blocks are flushed to the global
-/// matrix in tile order. Tiles run across the exec thread pool; the ordered
-/// flush makes the result bit-identical for every thread count.
+/// Both grid contractions run on tiles: contiguous point ranges, each with
+/// the sorted union of its active basis functions. A tile densifies its
+/// sparse entries into zero-padded dense blocks indexed by that union (the
+/// paper's Sec. 4.3 indirect-access elimination applied on the host) and
+/// runs the register-blocked kernels of basis/dense_tile.hpp on them:
+/// density() the symmetric contraction of the Rho phase over the folded P
+/// block, the matrix builders the Gram product blk = (w o V) V^T, upper
+/// triangle only, stored packed. The blocks are flushed to the global
+/// matrix in tile order and mirrored once, so every matrix is exactly
+/// symmetric. Tiles run across the exec thread pool; the ordered flush
+/// makes the result bit-identical for every thread count.
 
 #include <memory>
 #include <mutex>
@@ -99,8 +103,9 @@ private:
   mutable std::once_flag vnuc_once_;
   mutable std::vector<double> vnuc_samples_;
 
-  /// Accumulate M += w * x y^T tile by tile (pool-parallel compute, ordered
-  /// flush).
+  /// M = sum_p w_p f_p x_p y_p^T tile by tile (pool-parallel compute,
+  /// ordered flush), with y = chi, or its Laplacian when `use_laplacian`
+  /// (then the symmetrized (M + M^T) / 2). The result is exactly symmetric.
   template <typename Getter>
   [[nodiscard]] linalg::Matrix accumulate_weighted(Getter&& point_factor,
                                                    bool use_laplacian) const;

@@ -209,6 +209,7 @@ ScfResult ScfSolver::run() const {
     double delta = 0.0;
     for (std::size_t i = 0; i < np; ++i)
       delta = std::max(delta, std::fabs(n_new[i] - n_samples[i]));
+    if (obs::enabled()) obs::series_append("scf/max_dn", delta);
 
     p_mat = std::move(p_new);
     n_samples = n_new;

@@ -42,11 +42,13 @@ protected:
     obs::set_mode(obs::TraceMode::Full);
     obs::reset();
     obs::reset_counters();
+    obs::reset_series();
   }
   void TearDown() override {
     obs::set_mode(obs::TraceMode::Off);
     obs::reset();
     obs::reset_counters();
+    obs::reset_series();
   }
 };
 
@@ -388,6 +390,50 @@ TEST_F(ObsTest, ConvergenceCountersCountEachIterationOnce) {
             serial.iterations + par.direction.iterations);
   EXPECT_LE(counter_value("cpscf/pulay_resets"),
             counter_value("cpscf/iterations"));
+}
+
+// Per-iteration convergence telemetry: one residual per SCF iteration
+// (max|dn|) and per CPSCF iteration (max|dP1|, rank 0 only in a distributed
+// solve), the converged one last, and no series at all with tracing off.
+TEST_F(ObsTest, ConvergenceSeriesHoldOneResidualPerIteration) {
+  core::ParallelDfptOptions popt;
+  popt.ranks = 2;
+  popt.ranks_per_node = 2;
+
+  obs::set_mode(obs::TraceMode::Off);
+  const scf::ScfResult ground_off = run_small_scf();
+  ASSERT_TRUE(ground_off.converged);
+  (void)core::DfptSolver(ground_off, {}).solve_direction(2);
+  (void)core::solve_direction_parallel(ground_off, popt, 2);
+  EXPECT_TRUE(obs::series_snapshot().empty());
+
+  obs::set_mode(obs::TraceMode::Summary);
+  const scf::ScfResult ground = run_small_scf();
+  ASSERT_TRUE(ground.converged);
+  const std::vector<double> dn = obs::series("scf/max_dn");
+  ASSERT_EQ(dn.size(), static_cast<std::size_t>(ground.iterations));
+  EXPECT_LT(dn.back(), scf::ScfOptions{}.density_tolerance);
+  EXPECT_LT(dn.back(), dn.front());
+
+  const core::DfptOptions dopt;
+  const auto serial = core::DfptSolver(ground, dopt).solve_direction(2);
+  ASSERT_TRUE(serial.converged);
+  std::vector<double> dp1 = obs::series("cpscf/max_dp1");
+  ASSERT_EQ(dp1.size(), static_cast<std::size_t>(serial.iterations));
+  EXPECT_LT(dp1.back(), dopt.tolerance);
+  for (const double d : dp1) EXPECT_TRUE(std::isfinite(d) && d >= 0.0);
+
+  const auto par = core::solve_direction_parallel(ground, popt, 2);
+  ASSERT_TRUE(par.direction.converged);
+  dp1 = obs::series("cpscf/max_dp1");
+  ASSERT_EQ(dp1.size(), static_cast<std::size_t>(serial.iterations +
+                                                 par.direction.iterations));
+  EXPECT_LT(dp1.back(), dopt.tolerance);
+
+  const std::string json = obs::profile_json();
+  EXPECT_TRUE(json_balanced(json));
+  EXPECT_NE(json.find("\"scf/max_dn\": ["), std::string::npos);
+  EXPECT_NE(json.find("\"cpscf/max_dp1\": ["), std::string::npos);
 }
 
 // A singular SCF B matrix (two identical residuals) falls back to the latest

@@ -1,14 +1,17 @@
 // Tests for the Rho-phase batching stack: the raw real_ylm_all overload,
-// SplineBundle::eval_all, ipow, BasisSet::evaluate_batch + the ring-dense
-// contract_density, cutoff screening, the projection's cached Becke
-// weights, HartreeSolver::potential_batch, and the tune/ persistence layer.
+// SplineBundle::eval_all, ipow, BasisSet::evaluate_batch + the symmetric
+// dense-tile contract_density and BatchIntegrator kernels, cutoff
+// screening, the projection's cached Becke weights,
+// HartreeSolver::potential_batch, and the tune/ persistence layer.
 // The headline claims are all bit-for-bit: the batched kernels must
 // reproduce the per-point call chain exactly, and screening at tau = 0 must
 // change nothing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -28,6 +31,7 @@
 #include "grid/partition.hpp"
 #include "obs/memaudit.hpp"
 #include "poisson/multipole.hpp"
+#include "scf/integrator.hpp"
 #include "scf/scf_solver.hpp"
 #include "tune/tune.hpp"
 
@@ -159,7 +163,43 @@ TEST(RhoBatch, ScreeningRadiiShrinkWithTau) {
   }
 }
 
-TEST(RhoBatch, ContractDensityMatchesDoubleLoop) {
+/// The per-point oracle of contract_density: the ascending symmetric loop
+/// over one point's entries, t = P'_aa chi_a; t += P'_ab chi_b (b > a);
+/// n += chi_a t with P'_ab = P_ab + P_ba. It is written in the kernel's
+/// expression shape, so FMA contraction fuses both the same way.
+double density_symmetric_loop(const linalg::Matrix& p, const std::uint32_t* idx,
+                              const double* val, std::size_t ne) {
+  double n = 0.0;
+  for (std::size_t a = 0; a < ne; ++a) {
+    const double va = val[a];
+    double t = p(idx[a], idx[a]) * va;
+    for (std::size_t b = a + 1; b < ne; ++b) {
+      const double pab = p(idx[a], idx[b]) + p(idx[b], idx[a]);
+      t += pab * val[b];
+    }
+    n += va * t;
+  }
+  return n;
+}
+
+/// The plain double loop sum_ab P_ab chi_a chi_b in entry order (the
+/// association of the earlier ring-dense kernel), and its absolute-value
+/// sum sum_ab |P_ab chi_a chi_b| -- the scale of its rounding error.
+std::pair<double, double> density_double_loop(const linalg::Matrix& p,
+                                              const std::uint32_t* idx,
+                                              const double* val,
+                                              std::size_t ne) {
+  double n = 0.0, scale = 0.0;
+  for (std::size_t a = 0; a < ne; ++a)
+    for (std::size_t b = 0; b < ne; ++b) {
+      const double term = p(idx[a], idx[b]) * val[a] * val[b];
+      n += term;
+      scale += std::fabs(term);
+    }
+  return {n, scale};
+}
+
+TEST(RhoBatch, ContractDensityMatchesSymmetricLoop) {
   const BasisFixture f = water_points();
   const std::size_t nb = f.basis->size();
   Rng rng(7);
@@ -175,28 +215,17 @@ TEST(RhoBatch, ContractDensityMatchesDoubleLoop) {
   basis::PointEval pe;
   for (std::size_t k = 0; k < f.pts.size(); ++k) {
     f.basis->evaluate(f.pts[k], false, pe);
-    double ref = 0.0;
-    for (std::size_t a = 0; a < pe.indices.size(); ++a) {
-      const double va = pe.values[a];
-      for (std::size_t b = 0; b < pe.indices.size(); ++b)
-        ref += p(pe.indices[a], pe.indices[b]) * va * pe.values[b];
-    }
-    EXPECT_EQ(n[k], ref) << "point " << k;
+    const std::size_t ne = pe.indices.size();
+    EXPECT_EQ(n[k], density_symmetric_loop(p, pe.indices.data(),
+                                           pe.values.data(), ne))
+        << "point " << k;
+    const auto [plain, scale] =
+        density_double_loop(p, pe.indices.data(), pe.values.data(), ne);
+    EXPECT_LE(std::fabs(n[k] - plain), 1e-14 * scale) << "point " << k;
   }
 }
 
-/// The per-point oracle of contract_density: the plain double loop over one
-/// point's CSR entries, in entry order.
-double density_double_loop(const linalg::Matrix& p, const basis::BatchEval& ev,
-                           std::size_t k) {
-  double n = 0.0;
-  for (std::size_t a = ev.offsets[k]; a < ev.offsets[k + 1]; ++a)
-    for (std::size_t b = ev.offsets[k]; b < ev.offsets[k + 1]; ++b)
-      n += p(ev.indices[a], ev.indices[b]) * ev.values[a] * ev.values[b];
-  return n;
-}
-
-TEST(RhoBatch, ContractDensityHeterogeneousBlocksMatchDoubleLoop) {
+TEST(RhoBatch, ContractDensityHeterogeneousBlocksMatchSymmetricLoop) {
   // H(C2H4)2H: 14 atoms, so a block's basis union is far larger than any
   // one point's entry list, and neighbouring points see different atoms.
   const grid::Structure s = core::polyethylene_chain(2);
@@ -229,7 +258,8 @@ TEST(RhoBatch, ContractDensityHeterogeneousBlocksMatchDoubleLoop) {
       }
 
   // A non-symmetric P with entries spread over six decades: any change in
-  // the (a, b) summation order shows up in the last bits.
+  // the (a, b) summation order, or a fold that assumes P symmetric, shows up
+  // in the last bits.
   Rng rng(11);
   linalg::Matrix p(nb, nb);
   for (std::size_t i = 0; i < nb; ++i)
@@ -248,12 +278,16 @@ TEST(RhoBatch, ContractDensityHeterogeneousBlocksMatchDoubleLoop) {
         out.assign(m, -1.0);
         basis::contract_density(p, ev, out.data());
         for (std::size_t k = 0; k < m; ++k) {
-          const double ref = density_double_loop(p, ev, k);
-          EXPECT_EQ(out[k], ref)
+          const std::uint32_t* idx = ev.indices.data() + ev.offsets[k];
+          const double* val = ev.values.data() + ev.offsets[k];
+          const std::size_t ne = ev.offsets[k + 1] - ev.offsets[k];
+          EXPECT_EQ(out[k], density_symmetric_loop(p, idx, val, ne))
+              << "tau=" << tau << " n=" << n << " point " << b + k;
+          const auto [plain, scale] = density_double_loop(p, idx, val, ne);
+          EXPECT_LE(std::fabs(out[k] - plain), 1e-14 * scale)
               << "tau=" << tau << " n=" << n << " point " << b + k;
           EXPECT_FALSE(std::signbit(out[k]) && out[k] == 0.0)
               << "-0 at point " << b + k;
-          const std::size_t ne = ev.offsets[k + 1] - ev.offsets[k];
           empty_points += ne == 0;
           thinned_points += tau == 0.0 && ne > 0 && ne < full_rows[b + k];
         }
@@ -263,6 +297,186 @@ TEST(RhoBatch, ContractDensityHeterogeneousBlocksMatchDoubleLoop) {
   // The pool really exercises empty rows and partial (skipped-Y_lm) rows.
   EXPECT_GT(empty_points, 0u);
   EXPECT_GT(thinned_points, 0u);
+}
+
+// --- BatchIntegrator dense-tile kernels -------------------------------------
+
+/// H(C2H4)2H on a small grid: its tiles see different atoms, so their
+/// unions differ from tile to tile and from any one point's entries.
+struct ChainIntegrator {
+  std::shared_ptr<const basis::BasisSet> basis;
+  std::shared_ptr<const grid::MolecularGrid> grid;
+  std::unique_ptr<scf::BatchIntegrator> integ;
+};
+
+const ChainIntegrator& chain_integrator() {
+  static const ChainIntegrator f = [] {
+    ChainIntegrator c;
+    const grid::Structure s = core::polyethylene_chain(2);
+    c.basis = std::make_shared<const basis::BasisSet>(s, basis::BasisTier::Light);
+    grid::GridSpec spec;
+    spec.radial_points = 20;
+    spec.angular_degree = 7;
+    c.grid = std::make_shared<const grid::MolecularGrid>(
+        grid::MolecularGrid::build(s, spec));
+    c.integ = std::make_unique<scf::BatchIntegrator>(c.basis, c.grid);
+    return c;
+  }();
+  return f;
+}
+
+/// A potential with both signs, several decades and exact zeros.
+std::vector<double> test_potential(const grid::MolecularGrid& grid) {
+  std::vector<double> v(grid.size());
+  for (std::size_t p = 0; p < grid.size(); ++p) {
+    const Vec3 r = grid.point(p).pos;
+    v[p] = p % 11 == 0 ? 0.0
+                       : std::sin(1.3 * r[0]) * std::cos(0.7 * r[1]) +
+                             0.1 * r[2] * std::exp(-0.05 * r.norm2());
+  }
+  return v;
+}
+
+bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::span<const double> all(const linalg::Matrix& m) {
+  return {m.data(), m.rows() * m.cols()};
+}
+
+TEST(DenseTile, IntegratorDensityMatchesSymmetricLoop) {
+  const ChainIntegrator& c = chain_integrator();
+  const std::size_t nb = c.basis->size();
+  Rng rng(23);
+  linalg::Matrix p(nb, nb);  // non-symmetric, six decades
+  for (std::size_t i = 0; i < nb; ++i)
+    for (std::size_t j = 0; j < nb; ++j)
+      p(i, j) = rng.uniform(-1, 1) * std::pow(10.0, rng.uniform(-3, 3));
+  const std::vector<double> n = c.integ->density(p);
+  ASSERT_EQ(n.size(), c.grid->size());
+
+  basis::PointEval pe;
+  std::size_t empty_points = 0, odd_tiles = 0;
+  std::vector<std::uint32_t> tile_union;
+  for (std::size_t k = 0; k < c.grid->size(); ++k) {
+    c.basis->evaluate(c.grid->point(k).pos, /*with_laplacian=*/true, pe);
+    const std::size_t ne = pe.indices.size();
+    EXPECT_EQ(n[k], density_symmetric_loop(p, pe.indices.data(),
+                                           pe.values.data(), ne))
+        << "point " << k;
+    EXPECT_FALSE(std::signbit(n[k]) && n[k] == 0.0) << "-0 at point " << k;
+    empty_points += ne == 0;
+    // Union of the integrator's 128-point tile this point belongs to.
+    tile_union.insert(tile_union.end(), pe.indices.begin(), pe.indices.end());
+    if ((k + 1) % 128 == 0 || k + 1 == c.grid->size()) {
+      std::sort(tile_union.begin(), tile_union.end());
+      const auto last = std::unique(tile_union.begin(), tile_union.end());
+      odd_tiles += (last - tile_union.begin()) % 2;
+      tile_union.clear();
+    }
+  }
+  // The grid really exercises empty points and odd union sizes.
+  EXPECT_GT(empty_points, 0u);
+  EXPECT_GT(odd_tiles, 0u);
+}
+
+/// Scalar per-point reference of the matrix builders: the sum over grid
+/// points in order of (chi_a w f) y_b, y = chi or its Laplacian (then
+/// symmetrized), with no tiles.
+template <typename Factor>
+linalg::Matrix per_point_matrix(const ChainIntegrator& c, Factor&& factor,
+                                bool laplacian) {
+  const std::size_t nb = c.basis->size();
+  linalg::Matrix m(nb, nb);
+  basis::PointEval pe;
+  for (std::size_t p = 0; p < c.grid->size(); ++p) {
+    c.basis->evaluate(c.grid->point(p).pos, true, pe);
+    const double w = c.grid->point(p).weight * factor(p);
+    for (std::size_t i = 0; i < pe.indices.size(); ++i) {
+      const double xi = pe.values[i] * w;
+      for (std::size_t j = 0; j < pe.indices.size(); ++j)
+        m(pe.indices[i], pe.indices[j]) +=
+            xi * (laplacian ? pe.laplacians[j] : pe.values[j]);
+    }
+  }
+  if (laplacian) m.symmetrize();
+  return m;
+}
+
+/// Every entry within 1e-14 of max |reference|: the tile kernels regroup
+/// the point sum (tile partials, then the ordered flush) and mirror the
+/// upper triangle, which moves entries by a few ulps of the largest one.
+void expect_matches_reference(const linalg::Matrix& m, const linalg::Matrix& r,
+                              const char* what) {
+  ASSERT_EQ(m.rows(), r.rows());
+  double max_ref = 0.0;
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < r.rows(); ++i)
+    for (std::size_t j = 0; j < r.cols(); ++j) {
+      max_ref = std::max(max_ref, std::fabs(r(i, j)));
+      nonzero += r(i, j) != 0.0;
+    }
+  EXPECT_GT(nonzero, m.rows()) << what;
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      EXPECT_LE(std::fabs(m(i, j) - r(i, j)), 1e-14 * max_ref)
+          << what << " (" << i << ", " << j << ")";
+}
+
+TEST(DenseTile, IntegratorMatricesMatchPerPointReference) {
+  const ChainIntegrator& c = chain_integrator();
+  const std::vector<double> v = test_potential(*c.grid);
+  expect_matches_reference(
+      c.integ->potential_matrix(v),
+      per_point_matrix(c, [&](std::size_t p) { return v[p]; }, false),
+      "potential_matrix");
+  expect_matches_reference(
+      c.integ->overlap(),
+      per_point_matrix(c, [](std::size_t) { return 1.0; }, false), "overlap");
+  expect_matches_reference(
+      c.integ->kinetic(),
+      per_point_matrix(c, [](std::size_t) { return -0.5; }, true), "kinetic");
+}
+
+TEST(DenseTile, PotentialMatrixIsExactlySymmetric) {
+  const ChainIntegrator& c = chain_integrator();
+  const linalg::Matrix m = c.integ->potential_matrix(test_potential(*c.grid));
+  std::size_t off_diagonal = 0;
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = i + 1; j < m.cols(); ++j) {
+      EXPECT_EQ(m(i, j), m(j, i)) << "(" << i << ", " << j << ")";
+      off_diagonal += m(i, j) != 0.0;
+    }
+  EXPECT_GT(off_diagonal, 0u);
+}
+
+TEST(DenseTile, IntegratorKernelsBitIdenticalAcrossThreadCounts) {
+  const ChainIntegrator& c = chain_integrator();
+  const std::size_t nb = c.basis->size();
+  Rng rng(5);
+  linalg::Matrix p(nb, nb);
+  for (std::size_t i = 0; i < nb; ++i)
+    for (std::size_t j = 0; j <= i; ++j) p(i, j) = p(j, i) = rng.uniform(-1, 1);
+  const std::vector<double> v = test_potential(*c.grid);
+
+  struct Out {
+    std::vector<double> n;
+    linalg::Matrix h, s, t;
+  };
+  const auto run = [&](std::size_t threads) {
+    exec::ThreadPool::set_global_threads(threads);
+    Out o{c.integ->density(p), c.integ->potential_matrix(v),
+          c.integ->overlap(), c.integ->kinetic()};
+    exec::ThreadPool::set_global_threads(0);
+    return o;
+  };
+  const Out one = run(1), four = run(4);
+  EXPECT_TRUE(bitwise_equal(one.n, four.n));
+  EXPECT_TRUE(bitwise_equal(all(one.h), all(four.h)));
+  EXPECT_TRUE(bitwise_equal(all(one.s), all(four.s)));
+  EXPECT_TRUE(bitwise_equal(all(one.t), all(four.t)));
 }
 
 // --- Cached Becke weights of the projection ---------------------------------

@@ -456,6 +456,39 @@ TEST(Rebalance, WeightedTargetsMoveLoadOffSlowRanks) {
   EXPECT_EQ(again.moved_batches, out.moved_batches);
 }
 
+// Batches on a line, the slow rank in the middle: its shed batches lie
+// next to itself, and locality alone would hand them straight back. The
+// weighted targets must win -- the slow rank ends at most one batch over
+// its share and every healthy rank within one batch of its own.
+TEST(Rebalance, ShedBatchesFillHealthyRanksBeforeReturningToTheSlowRank) {
+  std::vector<grid::Batch> batches(64);
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    batches[i].points.resize(10);
+    batches[i].centroid = {static_cast<double>(i), 0.0, 0.0};
+    batches[i].atoms = {static_cast<std::uint32_t>(i / 16)};
+  }
+  mapping::Assignment before;
+  before.batches_of_rank.resize(4);
+  for (std::uint32_t i = 0; i < batches.size(); ++i)
+    before.batches_of_rank[i / 16].push_back(i);
+
+  const std::vector<double> weights = {1.0, 1.0 / 16, 1.0, 1.0};
+  const auto out = mapping::rebalance_for_slow_ranks(before, batches, weights);
+  const double total = 640.0, wsum = 3.0 + 1.0 / 16;
+  for (std::size_t r = 0; r < 4; ++r) {
+    const double target = total * weights[r] / wsum;
+    EXPECT_LE(static_cast<double>(out.assignment.points_of_rank(r, batches)),
+              target + 10.0)
+        << "rank " << r;
+  }
+  // Every point is still owned once, and the far rank 3 took its share.
+  std::size_t owned = 0;
+  for (std::size_t r = 0; r < 4; ++r)
+    owned += out.assignment.points_of_rank(r, batches);
+  EXPECT_EQ(owned, 640u);
+  EXPECT_GT(out.assignment.points_of_rank(3, batches), 160u);
+}
+
 TEST(Rebalance, EqualWeightsOnBalancedMappingMoveNothing) {
   const auto batches = uniform_batches(24, 10);
   const auto before = mapping::least_loaded_mapping(batches, 4);
